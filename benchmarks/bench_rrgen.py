@@ -1,4 +1,4 @@
-"""RR-set generation benchmark: sequential vs. batched vs. fan-out.
+"""RR-set generation benchmark: sequential vs. batched.
 
 Measures wall-clock time, edge throughput, and pool memory for growing a
 fixed number of RR sets on a weighted preferential-attachment graph, and
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import time
 from pathlib import Path
 
@@ -79,11 +80,10 @@ def build_graph(n: int, degree: int, weights: str = "wc",
     return graph
 
 
-def _measure(graph, cls, count, seed, batch_size=1, workers=1):
+def _measure(graph, cls, count, seed, batch_size=1):
     """Grow ``count`` RR sets, returning timing + counter telemetry."""
     gen = cls(graph)
     gen.batch_size = batch_size
-    gen.workers = workers
     pool = RRCollection(graph.n)
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
@@ -91,13 +91,8 @@ def _measure(graph, cls, count, seed, batch_size=1, workers=1):
     elapsed = time.perf_counter() - start
     counters = gen.counters
     return {
-        "mode": (
-            "sequential" if batch_size == 1 and workers == 1
-            else f"batched(b={batch_size})" if workers == 1
-            else f"fanout(b={batch_size},w={workers})"
-        ),
+        "mode": "sequential" if batch_size == 1 else f"batched(b={batch_size})",
         "batch_size": batch_size,
-        "workers": workers,
         "rr_sets": int(pool.num_rr),
         "wall_seconds": round(elapsed, 6),
         "edges_examined": int(counters.edges_examined),
@@ -113,14 +108,12 @@ def run_benchmark(
     degree: int = 10,
     count: int = 3_000,
     batch_size: int = 512,
-    workers: int = 2,
     seed: int = 7,
     quick: bool = False,
-    include_fanout: bool = True,
     weights: str = "wc",
     model: str = "ic",
 ) -> dict:
-    """Benchmark every generator in sequential/batched(/fan-out) modes."""
+    """Benchmark every generator in sequential and batched modes."""
     if quick:
         n, count, batch_size = 1_500, 400, 128
     graph = build_graph(n, degree, weights=weights, model=model)
@@ -128,6 +121,7 @@ def run_benchmark(
     report = {
         "benchmark": "rrgen",
         "quick": quick,
+        "cpus": os.cpu_count(),
         "graph": {
             "model": f"pa+{weights}" + ("+lt" if model == "lt" else ""),
             "n": graph.n,
@@ -138,16 +132,9 @@ def run_benchmark(
         "generators": {},
     }
     for name, cls in generators.items():
-        rows = [
-            _measure(graph, cls, count, seed),
-            _measure(graph, cls, count, seed, batch_size=batch_size),
-        ]
-        if include_fanout:
-            rows.append(
-                _measure(graph, cls, count, seed,
-                         batch_size=batch_size, workers=workers)
-            )
-        sequential, batched = rows[0], rows[1]
+        sequential = _measure(graph, cls, count, seed)
+        batched = _measure(graph, cls, count, seed, batch_size=batch_size)
+        rows = [sequential, batched]
         report["generators"][name] = {
             "runs": rows,
             "batched_speedup": round(
@@ -163,17 +150,15 @@ def run_generalw_benchmark(
     degree: int = 10,
     count: int = 3_000,
     batch_size: int = 4_096,
-    workers: int = 2,
     seed: int = 7,
     quick: bool = False,
-    include_fanout: bool = True,
 ) -> dict:
     """The general-weight fast-path comparison.
 
     Two workloads on the n=10^4 PA graph: the bucket-skipping SUBSIM
     kernel on skewed (exponential) weights, and the batched LT kernel on
-    LT-normalised WC weights — each sequential vs. batched (vs. fan-out),
-    with per-mode ``edges_examined`` / ``rng_draws`` telemetry.
+    LT-normalised WC weights — each sequential vs. batched, with per-mode
+    ``edges_examined`` / ``rng_draws`` telemetry.
 
     The per-graph sampler tables (uniform rates, sorted segments, LT alias
     tables) are built once and cached on the graph, shared by every
@@ -211,6 +196,7 @@ def run_generalw_benchmark(
     report = {
         "benchmark": "generalw",
         "quick": quick,
+        "cpus": os.cpu_count(),
         "count": count,
         "seed": seed,
         "workloads": {},
@@ -219,16 +205,9 @@ def run_generalw_benchmark(
         t0 = time.perf_counter()
         preprocess(graph)
         preprocess_seconds = time.perf_counter() - t0
-        rows = [
-            _measure(graph, cls, count, seed),
-            _measure(graph, cls, count, seed, batch_size=batch_size),
-        ]
-        if include_fanout:
-            rows.append(
-                _measure(graph, cls, count, seed,
-                         batch_size=batch_size, workers=workers)
-            )
-        sequential, batched = rows[0], rows[1]
+        sequential = _measure(graph, cls, count, seed)
+        batched = _measure(graph, cls, count, seed, batch_size=batch_size)
+        rows = [sequential, batched]
         report["workloads"][name] = {
             "graph": {"n": graph.n, "m": graph.m,
                       "weight_model": graph.weight_model},
@@ -266,9 +245,6 @@ def main(argv=None) -> int:
     parser.add_argument("--batch-size", type=int, default=None,
                         help="sets per vectorized batch (default: 512 for "
                              "rrgen, 4096 for generalw)")
-    parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("--no-fanout", action="store_true",
-                        help="skip the multiprocess measurement")
     parser.add_argument("--output", type=Path, default=None,
                         help="result file (default: BENCH_<suite>.json, or "
                              "BENCH_<suite>_quick.json with --quick)")
@@ -284,16 +260,13 @@ def main(argv=None) -> int:
     if args.suite == "generalw":
         report = run_generalw_benchmark(
             n=args.n, count=args.count, batch_size=args.batch_size,
-            workers=args.workers, quick=args.quick,
-            include_fanout=not args.no_fanout,
+            quick=args.quick,
         )
         entries = report["workloads"]
     else:
         report = run_benchmark(
             n=args.n, count=args.count, batch_size=args.batch_size,
-            workers=args.workers, quick=args.quick,
-            include_fanout=not args.no_fanout,
-            weights=args.weights, model=args.model,
+            quick=args.quick, weights=args.weights, model=args.model,
         )
         entries = report["generators"]
     path = write_report(report, args.output)

@@ -1,18 +1,11 @@
-"""Sharded worker runtime benchmark: warm ShardPool vs. per-call fan-out.
+"""Sharded worker runtime benchmark: a large sharded run and pool growth.
 
-Three measurements, written to ``benchmarks/results/BENCH_sharded.json``:
+Two measurements, written to ``benchmarks/results/BENCH_sharded.json``:
 
-* **warm-vs-fanout** — repeated generate requests against a persistent
-  :class:`~repro.rrsets.shardpool.ShardPool` (graph shipped once via
-  shared memory, sampler tables resident) versus
-  :func:`~repro.rrsets.fanout.generate_multiprocess`, which spawns
-  workers, pickles the graph, and rebuilds sampler tables on *every*
-  call.  Equal worker counts; the speedup is per-call overhead
-  elimination, not parallelism.
-* **large-run** — an end-to-end ``opim-c-fast`` query on an n=10^6 WC
-  Erdős–Rényi graph through the shard runtime with spill-to-disk,
-  reporting wall time and the peak RSS across the parent and every
-  worker (the stated memory cap the spill tier must respect).
+* **large-run** — an end-to-end ``opim-c`` query (batched ``ic`` kernel)
+  on an n=10^6 WC Erdős–Rényi graph through the shard runtime with
+  spill-to-disk, reporting wall time and the peak RSS across the parent
+  and every worker (the stated memory cap the spill tier must respect).
 * **realloc** — the power-of-two pool growth policy versus a simulated
   exact-size growth, counting buffer reallocations per appended set.
 
@@ -41,9 +34,7 @@ from repro.core.registry import get_algorithm
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.weights import wc_weights
 from repro.rrsets.collection import RRCollection, _pow2_capacity
-from repro.rrsets.fanout import generate_multiprocess, shard_counts
 from repro.rrsets.shardpool import ShardPool
-from repro.rrsets.subsim import SubsimICGenerator
 
 RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_sharded.json"
 QUICK_RESULTS_PATH = (
@@ -69,50 +60,6 @@ def _pool_rss_mib(pool: ShardPool) -> float:
     return sum(_rss_kib(pid) for pid in pids) / 1024.0
 
 
-def bench_warm_vs_fanout(graph, *, requests: int, per_request: int,
-                         workers: int) -> dict:
-    """Identical request sequences through both runtimes."""
-    batch = 32
-
-    start = time.perf_counter()
-    fanout_pool = RRCollection(graph.n)
-    for req in range(requests):
-        gen = SubsimICGenerator(graph)
-        gen.batch_size = batch
-        nodes, sizes = generate_multiprocess(
-            gen, per_request, np.random.default_rng(req), workers=workers
-        )
-        fanout_pool.add_batch(nodes, sizes)
-    fanout_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    with ShardPool(graph, workers) as pool:
-        counts = shard_counts(per_request, workers)
-        for req in range(requests):
-            seeds = [
-                np.random.SeedSequence(req, spawn_key=(0, rank, 0))
-                for rank in range(workers)
-            ]
-            pool.generate(
-                "bench", counts, seeds,
-                generator_cls=SubsimICGenerator,
-                batched_mode=None, batch_size=batch,
-            )
-        total = sum(s["bench"]["num_rr"] for s in pool.stats())
-    warm_s = time.perf_counter() - start
-
-    return {
-        "requests": requests,
-        "rr_sets_per_request": per_request,
-        "workers": workers,
-        "fanout_seconds": round(fanout_s, 4),
-        "shardpool_seconds": round(warm_s, 4),
-        "speedup": round(fanout_s / warm_s, 2) if warm_s else float("inf"),
-        "shardpool_rr_sets": total,
-        "fanout_rr_sets": fanout_pool.num_rr,
-    }
-
-
 def bench_large_run(*, n: int, degree: float, k: int, eps: float,
                     shards: int, spill_dir: str) -> dict:
     """One end-to-end sharded query at scale, with RSS tracking."""
@@ -123,7 +70,7 @@ def bench_large_run(*, n: int, degree: float, k: int, eps: float,
     pool = ShardPool(graph, shards, spill_dir=spill_dir)
     peak_rss = _pool_rss_mib(pool)
     try:
-        algo = get_algorithm("opim-c-fast", graph)
+        algo = get_algorithm("opim-c", graph)
         start = time.perf_counter()
         result = algo.run(k, eps=eps, seed=7, shards=pool, batch_size=256)
         run_s = time.perf_counter() - start
@@ -209,22 +156,11 @@ def main() -> int:
         args.spill_dir = tempfile.mkdtemp(prefix="bench_sharded_spill_")
 
     if args.quick:
-        warm_args = dict(requests=4, per_request=400, workers=2)
         large_args = dict(n=20_000, degree=4.0, k=10, eps=0.5, shards=2)
         realloc_appends = 20_000
     else:
-        # Many modest requests — the serving pattern the warm pool exists
-        # for; each fanout call re-pays spawn + graph pickle + sampler
-        # rebuild, the warm pool pays them once at spawn.
-        warm_args = dict(requests=24, per_request=250, workers=2)
         large_args = dict(n=1_000_000, degree=4.0, k=20, eps=0.5, shards=4)
         realloc_appends = 200_000
-
-    graph = wc_weights(erdos_renyi(20_000 if args.quick else 100_000,
-                                   4.0, seed=3))
-    print("warm-vs-fanout ...", flush=True)
-    warm = bench_warm_vs_fanout(graph, **warm_args)
-    print(json.dumps(warm, indent=2), flush=True)
 
     print("large-run ...", flush=True)
     os.makedirs(args.spill_dir, exist_ok=True)
@@ -238,7 +174,6 @@ def main() -> int:
     payload = {
         "benchmark": "sharded-worker-runtime",
         "quick": bool(args.quick),
-        "warm_vs_fanout": warm,
         "large_run": large,
         "realloc": realloc,
     }

@@ -69,7 +69,7 @@ def test_rrgen_batched_speedup(results_dir):
     """
     from bench_rrgen import run_benchmark, write_report
 
-    report = run_benchmark(include_fanout=False)
+    report = run_benchmark()
     write_report(report)
     speedup = report["generators"]["vanilla"]["batched_speedup"]
     print(f"\nvanilla batched speedup: {speedup}x")

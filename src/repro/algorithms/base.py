@@ -78,11 +78,9 @@ class IMAlgorithm:
         self._banks: Optional[BankProvider] = None
         self._resume_state = None
         self._batch_size = 1
-        self._workers = 1
         self._batched_mode: Optional[str] = None
         self._coverage_spec = None
         self._coverage_used = None
-        self._prefetch_spec: Optional[str] = None
 
     # ------------------------------------------------------------------
     def run(
@@ -99,7 +97,6 @@ class IMAlgorithm:
         resume: bool = False,
         fault_injector: Optional[FaultInjector] = None,
         batch_size: int = 1,
-        workers: int = 1,
         batched_mode: Optional[str] = None,
         metrics: Optional[MetricsRegistry] = None,
         trace: bool = False,
@@ -107,7 +104,6 @@ class IMAlgorithm:
         shards: Union[None, int, "ShardPool"] = None,
         spill_dir: Optional[str] = None,
         coverage_backend: Optional[str] = None,
-        prefetch: Optional[str] = None,
     ) -> IMResult:
         """Select ``k`` seeds with a ``(1 - 1/e - eps)`` guarantee w.p. ``1 - delta``.
 
@@ -126,19 +122,16 @@ class IMAlgorithm:
           ``checkpoint``); the resumed run replays to a bit-identical final
           answer.
         * ``fault_injector`` — deterministic fault hooks for tests.
-        * ``batch_size`` / ``workers`` — RR-generation strategy: the
-          defaults (both 1) replay the sequential per-set loop with its
-          exact RNG schedule (bit-identical seeds, counters and
-          checkpoints); ``batch_size > 1`` enables the vectorized batched
-          engine, ``workers > 1`` shards batches across processes.  Both
-          sample the identical RR-set distribution.  ``workers > 1`` is
-          incompatible with ``resume`` (resuming replays the recorded
-          RNG schedule, which fan-out streams do not follow).
+        * ``batch_size`` — RR-generation strategy: the default (1)
+          replays the sequential per-set loop with its exact RNG schedule
+          (bit-identical seeds, counters and checkpoints); ``batch_size >
+          1`` enables the vectorized batched engine, which samples the
+          identical RR-set distribution.
         * ``batched_mode`` — override the vectorized kernel the batched
           engine runs (``"ic"``, ``"subsim"`` or ``"lt"``); ``None`` (the
           default) keeps the generator's own kernel.  The override must be
           one of the generator's ``supported_batched_modes`` and only
-          matters when ``batch_size > 1`` or ``workers > 1``.
+          matters when ``batch_size > 1`` or ``shards`` is set.
         * ``metrics`` — a :class:`~repro.observability.registry
           .MetricsRegistry` that the run populates (counters, RR-size
           histogram, pool-memory gauge); its snapshot lands in
@@ -160,7 +153,7 @@ class IMAlgorithm:
           down afterwards), a ready pool is reused as-is.  The RR pools
           stay resident in the workers; selection is scatter-gather with a
           provably identical seed sequence.  Incompatible with
-          ``workers``/``checkpoint``/``resume``/``banks`` (sharded
+          ``checkpoint``/``resume``/``banks`` (sharded
           *sessions* are built through ``QuerySession(shards=...)``).
         * ``spill_dir`` — directory for worker pool spill and crash-recovery
           checkpoints (only with an integer ``shards``).
@@ -176,13 +169,6 @@ class IMAlgorithm:
           inherits the session provider's default (``"exact"`` outside a
           session).  A sketch-mode run records its approximation
           certificate in ``result.extras["coverage_backend"]``.
-        * ``prefetch`` — speculative pipelining of the doubling loop:
-          ``"next-round"`` issues the round-``i+1`` pool extensions while
-          round ``i``'s select/validate runs (bit-identical results; see
-          :mod:`repro.engine.prefetch`), ``"off"`` keeps the serial loop.
-          ``None`` inherits the session provider's default (``"off"``
-          outside a session).  Incompatible with ``checkpoint``/``resume``
-          — speculation skips the synchronous round save points.
         """
         n = self.graph.n
         if not 1 <= k <= n:
@@ -198,8 +184,6 @@ class IMAlgorithm:
             raise ConfigurationError(
                 f"batch_size must be >= 1, got {batch_size}"
             )
-        if workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
         if batched_mode is not None:
             from repro.rrsets.batched import BATCHED_MODES
 
@@ -244,16 +228,6 @@ class IMAlgorithm:
                     "checkpoint/resume: the precision ladder's state is "
                     "not part of round checkpoints"
                 )
-        if prefetch is not None:
-            from repro.engine.prefetch import validate_prefetch_mode
-
-            validate_prefetch_mode(prefetch)
-            if prefetch != "off" and (checkpoint is not None or resume):
-                raise ConfigurationError(
-                    "prefetch='next-round' cannot be combined with "
-                    "checkpoint/resume: speculative extensions skip the "
-                    "synchronous round save points"
-                )
         store = coerce_store(checkpoint, every=checkpoint_every)
         if banks is not None and (store is not None or resume):
             raise ConfigurationError(
@@ -263,12 +237,6 @@ class IMAlgorithm:
             )
         if resume and store is None:
             raise ConfigurationError("resume=True requires a checkpoint path")
-        if resume and workers > 1:
-            raise ConfigurationError(
-                "workers > 1 cannot resume a checkpoint: resuming replays "
-                "the recorded sequential RNG schedule, which multiprocess "
-                "fan-out streams do not follow; rerun with workers=1"
-            )
         if shards is not None:
             if not self.supports_shards:
                 raise ConfigurationError(
@@ -287,11 +255,6 @@ class IMAlgorithm:
                     "shard workers keep their own crash-recovery "
                     "checkpoints (spill_dir)"
                 )
-            if workers > 1:
-                raise ConfigurationError(
-                    "shards and workers are alternative execution "
-                    "strategies; pick one"
-                )
         elif spill_dir is not None:
             raise ConfigurationError("spill_dir requires shards")
         run_metrics = metrics if metrics is not None else MetricsRegistry()
@@ -307,11 +270,9 @@ class IMAlgorithm:
         self._control = control
         self._resume_state = None
         self._batch_size = int(batch_size)
-        self._workers = int(workers)
         self._batched_mode = batched_mode
         self._coverage_spec = coverage_backend
         self._coverage_used = None
-        self._prefetch_spec = prefetch
         if resume and store.exists():
             meta, pools = store.load()
             self._validate_resume(meta, k, eps, delta)
@@ -369,10 +330,8 @@ class IMAlgorithm:
             self._resume_state = None
             self._control = None
             self._batch_size = 1
-            self._workers = 1
             self._batched_mode = None
             self._coverage_spec = None
-            self._prefetch_spec = None
         result.runtime_seconds = time.perf_counter() - begin
         if (
             self._coverage_used is not None
@@ -408,7 +367,6 @@ class IMAlgorithm:
         if self._control is not None:
             self._control.adopt_generator(gen)
         gen.batch_size = self._batch_size
-        gen.workers = self._workers
         if self._batched_mode is not None:
             gen.batched_mode = self._batched_mode
         return gen
@@ -426,7 +384,6 @@ class IMAlgorithm:
             stop_mask=stop_mask,
             reusable=reusable,
             batch_size=self._batch_size,
-            workers=self._workers,
             batched_mode=self._batched_mode,
         )
 
@@ -468,24 +425,6 @@ class IMAlgorithm:
         )
         self._coverage_used = backend
         return backend
-
-    def _prefetch_controller(self):
-        """This run's speculative-pipeline controller, or ``None``.
-
-        Resolution mirrors :meth:`_coverage_backend`: the run-level
-        ``prefetch`` argument wins; absent that, a session bank provider
-        may carry a default; absent both, off.  A fresh controller is
-        built per call because one controller serves exactly one
-        ``run_doubling`` invocation.
-        """
-        spec = self._prefetch_spec
-        if spec is None and self._banks is not None:
-            spec = getattr(self._banks, "prefetch", None)
-        if spec is None or spec == "off":
-            return None
-        from repro.engine.prefetch import PrefetchController
-
-        return PrefetchController(metrics=self._metrics)
 
     @property
     def _has_checkpoint(self) -> bool:

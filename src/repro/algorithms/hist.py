@@ -63,13 +63,10 @@ def _attach_control(control: Optional[RunControl], *generators: RRGenerator) -> 
             control.adopt_generator(gen)
 
 
-def _configure_batching(
-    batch_size: int, workers: int, *generators: RRGenerator
-) -> None:
-    """Propagate the execution knobs onto phase-local generators."""
+def _configure_batching(batch_size: int, *generators: RRGenerator) -> None:
+    """Propagate the batch-size knob onto phase-local generators."""
     for gen in generators:
         gen.batch_size = batch_size
-        gen.workers = workers
 
 
 @dataclass
@@ -123,19 +120,17 @@ class SentinelSetPhase:
         generator_cls: Type[RRGenerator] = VanillaICGenerator,
         use_out_degree_tie_break: bool = True,
         batch_size: int = 1,
-        workers: int = 1,
     ) -> None:
         self.graph = graph
         self.generator_cls = generator_cls
         self.use_out_degree_tie_break = use_out_degree_tie_break
         self.batch_size = batch_size
-        self.workers = workers
 
     def _make_generator(self, control: Optional[RunControl]):
         def make() -> RRGenerator:
             gen = self.generator_cls(self.graph)
             _attach_control(control, gen)
-            _configure_batching(self.batch_size, self.workers, gen)
+            _configure_batching(self.batch_size, gen)
             return gen
 
         return make
@@ -177,11 +172,11 @@ class SentinelSetPhase:
         # queries; R2 is stop-masked per candidate and rebuilt every query.
         bank1 = provider.get(
             "sentinel.r1", make_gen,
-            batch_size=self.batch_size, workers=self.workers,
+            batch_size=self.batch_size,
         )
         bank2 = provider.get(
             "sentinel.r2", make_gen, reusable=False,
-            batch_size=self.batch_size, workers=self.workers,
+            batch_size=self.batch_size,
         )
         metrics = control.metrics if control is not None else None
 
@@ -308,13 +303,11 @@ class IMSentinelPhase:
         generator_cls: Type[RRGenerator] = VanillaICGenerator,
         use_out_degree_tie_break: bool = True,
         batch_size: int = 1,
-        workers: int = 1,
     ) -> None:
         self.graph = graph
         self.generator_cls = generator_cls
         self.use_out_degree_tie_break = use_out_degree_tie_break
         self.batch_size = batch_size
-        self.workers = workers
 
     def run(
         self,
@@ -329,15 +322,13 @@ class IMSentinelPhase:
         checkpoint: Optional[Callable[[dict, dict], None]] = None,
         banks: Optional[BankProvider] = None,
         phase=None,
-        prefetch=None,
     ) -> IMSentinelResult:
         """Execute the phase.
 
         ``resume`` is a ``(meta, pools)`` pair from a round checkpoint taken
         by ``checkpoint`` (a callback receiving round state + pools); both
-        are wired by :class:`HIST`, as are ``phase`` (trace-span factory for
-        the per-round spans) and ``prefetch`` (the speculative-pipeline
-        controller; mutually exclusive with ``checkpoint``).
+        are wired by :class:`HIST`, as is ``phase`` (trace-span factory for
+        the per-round spans).
         """
         graph = self.graph
         n = graph.n
@@ -363,18 +354,18 @@ class IMSentinelPhase:
         def make_gen() -> RRGenerator:
             gen = self.generator_cls(graph)
             _attach_control(control, gen)
-            _configure_batching(self.batch_size, self.workers, gen)
+            _configure_batching(self.batch_size, gen)
             return gen
 
         # Sentinel-stopped sets are specific to this query's sentinel set,
         # so neither pool is reusable across session queries.
         bank1 = provider.get(
             "im.r1", make_gen, stop_mask=stop_mask, reusable=False,
-            batch_size=self.batch_size, workers=self.workers,
+            batch_size=self.batch_size,
         )
         bank2 = provider.get(
             "im.r2", make_gen, stop_mask=stop_mask, reusable=False,
-            batch_size=self.batch_size, workers=self.workers,
+            batch_size=self.batch_size,
         )
         metrics = control.metrics if control is not None else None
         schedule = SamplingSchedule(theta0, max(theta0, theta_max), i_max)
@@ -443,7 +434,6 @@ class IMSentinelPhase:
             resume=doubling_resume,
             checkpointer=checkpointer,
             phase=phase,
-            prefetch=prefetch,
         )
         if outcome.interrupted:
             return self._interrupted(
@@ -559,7 +549,7 @@ class HIST(IMAlgorithm):
             with Timer() as t_sentinel, self._phase("sentinel"):
                 sentinel = SentinelSetPhase(
                     self.graph, self.generator_cls, self.use_out_degree_tie_break,
-                    batch_size=self._batch_size, workers=self._workers,
+                    batch_size=self._batch_size,
                 ).run(k, eps1, delta1, rng, max_b=self.fixed_b,
                       control=self._control, banks=self._banks)
             phases["sentinel"] = t_sentinel.elapsed
@@ -605,17 +595,15 @@ class HIST(IMAlgorithm):
         with Timer() as t_im, self._phase("im_sentinel"):
             im = IMSentinelPhase(
                 self.graph, self.generator_cls, self.use_out_degree_tie_break,
-                batch_size=self._batch_size, workers=self._workers,
+                batch_size=self._batch_size,
             ).run(
                 k, eps, sentinel.seeds, eps2, delta2, rng,
                 control=self._control,
                 resume=im_resume,
-                # A no-op checkpoint callback would force the serial round
-                # extension; only wire it when a store is attached.
+                # Only wire the checkpoint callback when a store is attached.
                 checkpoint=im_checkpoint if self._has_checkpoint else None,
                 banks=self._banks,
                 phase=self._phase,
-                prefetch=self._prefetch_controller(),
             )
         generators.extend(im.generators)
         phases["im_sentinel"] = t_im.elapsed

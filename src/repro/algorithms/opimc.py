@@ -151,13 +151,10 @@ class OPIMC(IMAlgorithm):
             validate=validate,
             target=target,
             resume=resume,
-            # Only a run with an attached store gets the synchronous
-            # checkpointer (a no-op callback would still force the serial
-            # round extension and disable the speculative pipeline).
+            # Only a run with an attached store gets the checkpointer.
             checkpointer=checkpointer if self._has_checkpoint else None,
             phase=self._phase,
             refine=refine,
-            prefetch=self._prefetch_controller(),
         )
         if outcome.interrupted:
             return self._finalize_partial(

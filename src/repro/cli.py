@@ -35,7 +35,6 @@ from repro.experiments import calibration, figures, workloads
 from repro.experiments.reporting import render_table
 from repro.graphs import generators, io, stats, weights
 from repro.graphs.csr import CSRGraph
-from repro.rrsets.fast_vanilla import FastVanillaICGenerator
 from repro.rrsets.lt import LTGenerator
 from repro.rrsets.subsim import SubsimICGenerator
 from repro.rrsets.vanilla import VanillaICGenerator
@@ -49,7 +48,6 @@ EXIT_INTERRUPTED = 130
 _GENERATOR_CLASSES = {
     "vanilla": VanillaICGenerator,
     "subsim": SubsimICGenerator,
-    "fast-vanilla": FastVanillaICGenerator,
     "lt": LTGenerator,
 }
 
@@ -258,15 +256,6 @@ def cmd_run(args) -> int:
         raise ReproError("--resume requires --checkpoint")
     if args.batch_size < 1:
         raise ReproError(f"--batch-size must be >= 1, got {args.batch_size}")
-    if args.workers < 1:
-        raise ReproError(f"--workers must be >= 1, got {args.workers}")
-    if args.resume and args.workers > 1:
-        raise ReproError(
-            "--workers > 1 cannot be combined with --resume: resuming "
-            "replays the checkpoint's sequential RNG schedule, which "
-            "multiprocess fan-out does not follow. Re-run with --workers 1 "
-            "to resume, or drop --resume to start a fresh parallel run."
-        )
     batched_mode = None if args.batched_mode == "auto" else args.batched_mode
     want_metrics = bool(args.metrics_out or args.report)
     want_trace = bool(args.trace_out or args.report)
@@ -286,8 +275,7 @@ def cmd_run(args) -> int:
                 session = QuerySession(
                     graph, args.algorithm, seed=args.seed,
                     shards=args.shards, spill_dir=args.spill_dir,
-                    coverage_backend=args.coverage_backend,
-                    prefetch=args.prefetch, **kwargs
+                    coverage_backend=args.coverage_backend, **kwargs
                 )
                 try:
                     for k in ks:
@@ -297,7 +285,6 @@ def cmd_run(args) -> int:
                             budget=make_budget(),
                             cancel=interrupt.token,
                             batch_size=args.batch_size,
-                            workers=args.workers,
                             batched_mode=batched_mode,
                             metrics=metrics,
                         )
@@ -329,12 +316,10 @@ def cmd_run(args) -> int:
                             budget=make_budget(),
                             cancel=interrupt.token,
                             batch_size=args.batch_size,
-                            workers=args.workers,
                             batched_mode=batched_mode,
                             metrics=metrics,
                             shards=pool,
                             coverage_backend=args.coverage_backend,
-                            prefetch=args.prefetch,
                         )
                         entry = _run_payload(result, args, graph)
                         entry["k"] = k
@@ -366,14 +351,12 @@ def cmd_run(args) -> int:
             checkpoint_every=args.checkpoint_every,
             resume=args.resume,
             batch_size=args.batch_size,
-            workers=args.workers,
             batched_mode=batched_mode,
             metrics=metrics,
             trace=want_trace,
             shards=args.shards,
             spill_dir=args.spill_dir,
             coverage_backend=args.coverage_backend,
-            prefetch=args.prefetch,
         )
     if args.metrics_out:
         _write_json(args.metrics_out, metrics.snapshot())
@@ -571,7 +554,6 @@ def cmd_serve(args) -> int:
         byte_cap=args.byte_cap,
         tenant_byte_caps=_parse_tenant_byte_caps(args.tenant_byte_cap),
         coverage_backend=args.coverage_backend,
-        prefetch=args.prefetch,
         default_deadline=args.default_deadline,
         lifetime_budget=Budget(
             max_edges_examined=args.max_edges,
@@ -748,14 +730,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=1, metavar="B",
                    help="grow B RR sets per vectorized batch (1 = exact "
                         "sequential semantics, the default)")
-    p.add_argument("--workers", type=int, default=1, metavar="W",
-                   help="shard RR generation across W processes "
-                        "(incompatible with --resume)")
     p.add_argument("--shards", type=int, default=None, metavar="S",
                    help="run on a persistent pool of S shard workers "
                         "(shared-memory graph, shard-resident RR banks, "
                         "scatter-gather selection); incompatible with "
-                        "--workers > 1 and --checkpoint/--resume")
+                        "--checkpoint/--resume")
     p.add_argument("--spill-dir", default=None, metavar="DIR",
                    help="spill cold shard-resident RR pools (and shard "
                         "checkpoints) to this directory; requires --shards")
@@ -765,7 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "keeps each generator's native kernel; ic forces "
                         "per-edge coins, subsim bucket-skipping, lt the "
                         "backward live-edge walk (only meaningful with "
-                        "--batch-size > 1 or --workers > 1)")
+                        "--batch-size > 1 or --shards)")
     p.add_argument("--coverage-backend", default=None,
                    choices=["exact", "sketch", "auto"],
                    help="how selection reads the RR pool: exact "
@@ -773,12 +752,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(per-node HLL rows — much smaller at huge theta, "
                         "certified-approximate bounds), or auto (sketch "
                         "only when the expected pool size is large)")
-    p.add_argument("--prefetch", default=None,
-                   choices=["off", "next-round"],
-                   help="speculative pipelining of the doubling loop: "
-                        "next-round overlaps next-round RR generation with "
-                        "this round's selection/validation (bit-identical "
-                        "results); off keeps the serial loop")
     p.add_argument("--metrics-out", default=None, metavar="PATH",
                    help="write the run's metrics-registry snapshot "
                         "(counters, gauges, histograms) as JSON")
@@ -859,7 +832,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8337,
                    help="bind port (0 = ephemeral)")
-    p.add_argument("--workers", type=int, default=2)
+    p.add_argument("--workers", type=int, default=2,
+                   help="HTTP query worker threads")
     p.add_argument("--max-pending", type=int, default=8,
                    help="dispatch-queue bound; excess requests shed with 429")
     p.add_argument("--algorithm", default="subsim",
@@ -877,11 +851,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["exact", "sketch", "auto"],
                    help="coverage backend for every tenant session: exact "
                         "inverted-CSR selection, sketch HLL rows, or auto")
-    p.add_argument("--prefetch", default="off",
-                   choices=["off", "next-round"],
-                   help="speculative pipelining for every tenant query: "
-                        "next-round overlaps RR generation with selection "
-                        "(bit-identical results); off keeps the serial loop")
     p.add_argument("--default-deadline", type=float, default=None,
                    metavar="SECONDS")
     p.add_argument("--max-edges", type=int, default=None,

@@ -66,7 +66,6 @@ class InfluenceMaximizer:
         resume: bool = False,
         fault_injector=None,
         batch_size: int = 1,
-        workers: int = 1,
         batched_mode: Optional[str] = None,
         metrics=None,
         trace: bool = False,
@@ -82,7 +81,7 @@ class InfluenceMaximizer:
         ignore them.
 
         ``budget``, ``cancel``, ``checkpoint``, ``checkpoint_every``,
-        ``resume``, ``fault_injector``, ``batch_size``, ``workers``,
+        ``resume``, ``fault_injector``, ``batch_size``,
         ``batched_mode`` (override the vectorized kernel the batched
         engine runs — ``"ic"``, ``"subsim"`` or ``"lt"``),
         ``metrics`` (a
@@ -122,7 +121,6 @@ class InfluenceMaximizer:
                 cancel=cancel,
                 fault_injector=fault_injector,
                 batch_size=batch_size,
-                workers=workers,
                 batched_mode=batched_mode,
                 metrics=metrics,
                 trace=trace,
@@ -140,7 +138,6 @@ class InfluenceMaximizer:
             resume=resume,
             fault_injector=fault_injector,
             batch_size=batch_size,
-            workers=workers,
             batched_mode=batched_mode,
             metrics=metrics,
             trace=trace,
@@ -177,7 +174,6 @@ def maximize_influence(
     resume: bool = False,
     fault_injector=None,
     batch_size: int = 1,
-    workers: int = 1,
     batched_mode: Optional[str] = None,
     metrics=None,
     trace: bool = False,
@@ -197,7 +193,6 @@ def maximize_influence(
         resume=resume,
         fault_injector=fault_injector,
         batch_size=batch_size,
-        workers=workers,
         batched_mode=batched_mode,
         metrics=metrics,
         trace=trace,

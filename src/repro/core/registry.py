@@ -22,7 +22,6 @@ from repro.algorithms.pagerank import PageRankSeeds
 from repro.algorithms.ssa import SSA
 from repro.algorithms.tim import TIMPlus
 from repro.graphs.csr import CSRGraph
-from repro.rrsets.fast_vanilla import FastVanillaICGenerator
 from repro.rrsets.lt import LTGenerator
 from repro.rrsets.subsim import SubsimICGenerator
 from repro.rrsets.vanilla import VanillaICGenerator
@@ -43,7 +42,6 @@ _REGISTRY: Dict[str, AlgorithmFactory] = {
     "ssa": lambda graph, **kw: SSA(graph, VanillaICGenerator, **kw),
     "d-ssa": lambda graph, **kw: DSSA(graph, VanillaICGenerator, **kw),
     "borgs-ris": lambda graph, **kw: BorgsRIS(graph, **kw),
-    "opim-c-fast": lambda graph, **kw: OPIMC(graph, FastVanillaICGenerator, **kw),
     "greedy-mc": lambda graph, **kw: GreedyMonteCarlo(graph, **kw),
     "degree": lambda graph, **kw: DegreeTopK(graph, **kw),
     "pagerank": lambda graph, **kw: PageRankSeeds(graph, **kw),

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.coverage.greedy import max_coverage_greedy
-from repro.engine.prefetch import PrefetchController, ensure_pair
 from repro.rrsets.bank import PoolLike, RRBank
 from repro.utils.exceptions import ExecutionInterrupted
 
@@ -94,10 +93,15 @@ def _no_phase(name: str) -> contextlib.AbstractContextManager:
     return contextlib.nullcontext()
 
 
-def _annotate_round(
-    span: Any, theta: int, outcome: "DoublingOutcome", overlap: float
-) -> None:
-    """Record the round's theta/bounds/overlap on its trace span."""
+# benchmarks/e2e/spans.py patches this by name to time the bootstrap.
+def ensure_pair(bank1: Any, bank2: Any, theta: int) -> None:
+    """Grow both banks to ``theta`` (the doubling loop's bootstrap)."""
+    bank1.ensure(theta)
+    bank2.ensure(theta)
+
+
+def _annotate_round(span: Any, theta: int, outcome: "DoublingOutcome") -> None:
+    """Record the round's theta/bounds on its trace span."""
     if span is None or not hasattr(span, "annotate"):
         return
     upper = outcome.upper
@@ -110,7 +114,6 @@ def _annotate_round(
             if upper > 0 and upper != float("inf")
             else 0.0
         ),
-        overlap_seconds=round(float(overlap), 6),
     )
 
 
@@ -127,7 +130,6 @@ def run_doubling(
     checkpointer: Optional[CheckpointFn] = None,
     phase: Optional[Callable[[str], Any]] = None,
     refine: Optional[RefineFn] = None,
-    prefetch: Optional[PrefetchController] = None,
 ) -> DoublingOutcome:
     """Run the bootstrap-select-validate-double loop over two banks.
 
@@ -151,19 +153,9 @@ def run_doubling(
     not the sample size, blocked convergence.  Returning False accepts the
     round and the loop doubles as usual; a refine that cannot help anymore
     must return False or the round would spin.
-
-    ``prefetch`` enables the speculative pipeline: the round-``i+1``
-    extension of both banks is issued *before* round ``i``'s select runs
-    and committed at the top of round ``i+1``, so generation overlaps
-    selection/validation.  Results are bit-identical with or without it
-    (see :mod:`repro.engine.prefetch`).  Checkpointing requires the
-    synchronous save points, so a ``checkpointer`` disables speculation
-    (callers reject the combination up front); either way the bootstrap
-    pair still runs concurrently when the banks' streams are independent.
     """
     span = phase if phase is not None else _no_phase
     outcome = DoublingOutcome(seeds=list(initial_seeds))
-    pipeline = prefetch if checkpointer is None else None
     start = 1
     if resume is not None:
         outcome.rounds = int(resume.round_index)
@@ -174,12 +166,7 @@ def run_doubling(
     else:
         try:
             with span("bootstrap"):
-                ensure_pair(
-                    bank1,
-                    bank2,
-                    schedule.theta0,
-                    prefetch_on=pipeline is not None,
-                )
+                ensure_pair(bank1, bank2, schedule.theta0)
         except ExecutionInterrupted as exc:
             outcome.interrupted = True
             outcome.stop_reason = exc.reason
@@ -189,13 +176,6 @@ def run_doubling(
             outcome.rounds = i
             with span(f"round-{i}") as sp:
                 theta = schedule.theta_at(i)
-                overlap = 0.0
-                if pipeline is not None:
-                    overlap = pipeline.land(bank1, bank2, theta)
-                    if i < schedule.rounds:
-                        next_theta = schedule.theta_at(i + 1)
-                        if next_theta > theta:
-                            pipeline.launch(bank1, bank2, next_theta)
                 while True:
                     seeds, upper = select(bank1.view(theta))
                     outcome.seeds = seeds
@@ -203,14 +183,14 @@ def run_doubling(
                     outcome.lower = validate(bank2.view(theta), seeds)
                     if upper > 0 and outcome.lower / upper > target:
                         outcome.converged = True
-                        _annotate_round(sp, theta, outcome, overlap)
+                        _annotate_round(sp, theta, outcome)
                         return outcome
                     if refine is None or not refine(
                         i, theta, seeds, outcome.lower, outcome.upper
                     ):
                         break
-                _annotate_round(sp, theta, outcome, overlap)
-                if i < schedule.rounds and pipeline is None:
+                _annotate_round(sp, theta, outcome)
+                if i < schedule.rounds:
                     bank1.ensure(2 * theta)
                     bank2.ensure(2 * theta)
                     if checkpointer is not None:
@@ -220,9 +200,6 @@ def run_doubling(
     except ExecutionInterrupted as exc:
         outcome.interrupted = True
         outcome.stop_reason = exc.reason
-    finally:
-        if pipeline is not None:
-            pipeline.finish(interrupted=outcome.interrupted)
     return outcome
 
 

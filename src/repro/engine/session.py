@@ -73,7 +73,6 @@ class BankProvider:
         session_metrics: Optional[MetricsRegistry] = None,
         shard_pool: Optional[Any] = None,
         coverage_backend: Optional[str] = None,
-        prefetch: Optional[str] = None,
     ) -> None:
         if (rng is None) == (entropy is None):
             raise ConfigurationError(
@@ -89,19 +88,12 @@ class BankProvider:
                     f"{', '.join(repr(b) for b in COVERAGE_BACKENDS)}, "
                     f"got {coverage_backend!r}"
                 )
-        if prefetch is not None:
-            from repro.engine.prefetch import validate_prefetch_mode
-
-            validate_prefetch_mode(prefetch)
         self.graph = graph
         self.reuse = reuse
         self.byte_cap = byte_cap
         #: default coverage backend for every run served from this provider
         #: (a run-level ``coverage_backend=`` argument overrides it)
         self.coverage_backend = coverage_backend
-        #: default speculative-pipelining mode for every run served from
-        #: this provider (a run-level ``prefetch=`` argument overrides it)
-        self.prefetch = prefetch
         self.metrics = session_metrics
         self.entropy = entropy
         #: when set, every bank this provider hands out is shard-resident
@@ -153,7 +145,6 @@ class BankProvider:
         stop_mask: Optional[np.ndarray] = None,
         reusable: bool = True,
         batch_size: int = 1,
-        workers: int = 1,
         batched_mode: Optional[str] = None,
     ) -> RRBank:
         """The bank serving ``role`` for the current query.
@@ -220,7 +211,6 @@ class BankProvider:
             # cumulative counters keep matching the recorded marks).
             gen = bank.generator
             gen.batch_size = batch_size
-            gen.workers = workers
             if batched_mode is not None:
                 gen.batched_mode = batched_mode
             if self._control is not None:
@@ -239,9 +229,9 @@ class BankProvider:
     def _sharded_transient(self, role, gen, stop_mask):
         """A fresh single-run sharded bank keyed by one draw of run entropy.
 
-        The draw is accounted exactly like the per-call fan-out's parent
-        draw, so a sharded run's RNG schedule is a deterministic function
-        of (seed, bank creation order).
+        The draw is accounted as one RNG draw of the bank's generator, so
+        a sharded run's RNG schedule is a deterministic function of
+        (seed, bank creation order).
         """
         from repro.engine.shards import ShardedRRBank
 
@@ -315,7 +305,6 @@ class QuerySession:
         shards: Optional[int] = None,
         spill_dir: Optional[str] = None,
         coverage_backend: Optional[str] = None,
-        prefetch: Optional[str] = None,
         **algorithm_kwargs: Any,
     ) -> None:
         self.graph = graph
@@ -342,7 +331,6 @@ class QuerySession:
             session_metrics=self.metrics,
             shard_pool=self._shard_pool,
             coverage_backend=coverage_backend,
-            prefetch=prefetch,
         )
         self.queries_served = 0
 
@@ -376,12 +364,10 @@ class QuerySession:
         cancel: Optional[Any] = None,
         fault_injector: Optional[Any] = None,
         batch_size: int = 1,
-        workers: int = 1,
         batched_mode: Optional[str] = None,
         metrics: Optional[MetricsRegistry] = None,
         trace: bool = False,
         coverage_backend: Optional[str] = None,
-        prefetch: Optional[str] = None,
     ) -> Any:
         """Serve one query against the session's banks.
 
@@ -406,7 +392,6 @@ class QuerySession:
             cancel=cancel,
             fault_injector=fault_injector,
             batch_size=batch_size,
-            workers=workers,
             batched_mode=batched_mode,
             # Default the run registry to the session's so per-query
             # observability (coverage.sketch_* counters, rr_pool_bytes)
@@ -415,7 +400,6 @@ class QuerySession:
             trace=trace,
             banks=self.provider,
             coverage_backend=coverage_backend,
-            prefetch=prefetch,
         )
         self.queries_served += 1
         result.extras["session"] = {

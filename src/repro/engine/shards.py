@@ -29,7 +29,6 @@ assembled in exactly that order.
 
 from __future__ import annotations
 
-import time
 import zlib
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
@@ -37,10 +36,24 @@ import numpy as np
 
 from repro.graphs.csr import CSRGraph
 from repro.rrsets.base import GenerationCounters, RRGenerator
-from repro.rrsets.fanout import _merge_counters, shard_counts
 from repro.rrsets.shardpool import ShardPool
 from repro.runtime.checkpoint import counters_from_dict, counters_to_dict
 from repro.utils.exceptions import ConfigurationError, ExecutionInterrupted
+
+
+def shard_counts(count: int, workers: int) -> list:
+    """Split ``count`` sets into per-rank shard sizes (first ranks larger)."""
+    base, extra = divmod(count, workers)
+    return [base + (1 if r < extra else 0) for r in range(workers)]
+
+
+def _merge_counters(counters: GenerationCounters, totals) -> None:
+    """Fold one request's merged worker counter totals into ``counters``."""
+    counters.edges_examined += totals[0]
+    counters.rng_draws += totals[1]
+    counters.nodes_added += totals[2]
+    counters.sets_generated += totals[3]
+    counters.sentinel_hits += totals[4]
 
 
 class ShardedSeedMask:
@@ -218,10 +231,10 @@ class ShardedRRBank:
         while remaining > 0:
             req = remaining
             if control is not None:
-                # Budget enforcement happens at the request boundary, like
-                # the per-call fan-out: on_rr_start raises once the budget
-                # is exhausted, and a clamped request under-delivers so the
-                # *next* boundary surfaces the expiry.
+                # Budget enforcement happens at the request boundary:
+                # on_rr_start raises once the budget is exhausted, and a
+                # clamped request under-delivers so the *next* boundary
+                # surfaces the expiry.
                 control.on_rr_start()
                 if control.budget.max_rr_sets is not None:
                     req = min(
@@ -267,27 +280,6 @@ class ShardedRRBank:
             for rank, c in enumerate(counts):
                 self._rank_totals[rank] += c
             remaining -= int(sum(counts))
-
-    def extend_async(self, theta: int) -> Optional["_ShardedSpeculation"]:
-        """Start growing the sharded pool toward ``theta`` without blocking.
-
-        The speculative-pipelining entry point (see
-        :mod:`repro.engine.prefetch`): one generate broadcast — seeded with
-        the exact request index and per-rank counts a synchronous
-        :meth:`ensure` would use next — is issued via
-        :meth:`ShardPool.generate_async`, and the workers produce it while
-        the parent keeps running select/validate against the current
-        prefix.  The returned handle commits (or cancels) the request
-        later; until it commits, views of this bank do not see the new
-        sets.  The caller is responsible for budget pre-checks — the
-        request boundary's ``on_rr_start``/clamp logic is replaced by the
-        prefetch layer's conservative launch gate.
-        """
-        theta = int(theta)
-        count = theta - self.num_rr
-        if count <= 0:
-            return None
-        return _ShardedSpeculation(self, count)
 
     def take(self, index: int) -> np.ndarray:
         raise ConfigurationError(
@@ -513,131 +505,6 @@ class ShardedRRBank:
             "sharded banks do not support warm-start serialization; "
             "session save/restore requires shards=None"
         )
-
-
-class _ShardedSpeculation:
-    """One in-flight speculative generate request on a sharded bank.
-
-    Issued by :meth:`ShardedRRBank.extend_async`; duck-typed like the
-    unsharded ``_ThreadSpeculation`` (``wait_and_commit`` / ``abort`` /
-    ``overlap_until`` / ``count``).  The request is identical — same
-    request index, seeds, and per-rank counts — to what the next
-    synchronous :meth:`ShardedRRBank.ensure` would have sent, so a
-    committed speculation leaves the bank bit-identical to the serial
-    path.
-
-    Cancellation truncates the request at a worker chunk boundary.  A
-    partial request is prefix-stable *within this query* (the delivered
-    chunks are the same chunks a full request would start with) but not
-    across an eviction of a reusable bank, whose cold regeneration
-    replays *full* requests: :meth:`abort` therefore never cancels a
-    converged reusable bank's request (it is committed whole, as warm
-    inventory) and marks the bank dirty when an interrupt forces a
-    partial — end-of-query eviction then restores determinism.
-    """
-
-    def __init__(self, bank: ShardedRRBank, count: int) -> None:
-        self.bank = bank
-        self.count = int(count)
-        gen = bank.generator
-        pool = bank.shard_pool
-        self._counts = shard_counts(self.count, pool.shards)
-        seeds = [
-            np.random.SeedSequence(
-                bank.entropy,
-                spawn_key=(bank._role_key, rank, bank._next_req),
-            )
-            for rank in range(pool.shards)
-        ]
-        bank._next_req += 1
-        self._want_metrics = gen.metrics is not None
-        self._pending = pool.generate_async(
-            bank.role,
-            self._counts,
-            seeds,
-            generator_cls=type(gen),
-            batched_mode=gen.batched_mode,
-            batch_size=max(2, int(gen.batch_size or 1)),
-            stop_mask=bank.stop_mask,
-            want_metrics=self._want_metrics,
-        )
-        self.committed = 0
-        self._done = False
-        self.t_launch = time.monotonic()
-        self.t_done: Optional[float] = None
-
-    def overlap_until(self, now: float) -> float:
-        """Seconds this request has been in flight (workers run remotely,
-        so completion time is unknown until collection — the full window
-        counts as overlap)."""
-        end = self.t_done if self.t_done is not None else now
-        return max(0.0, min(end, now) - self.t_launch)
-
-    def _commit(self) -> int:
-        if self._done:
-            return self.committed
-        self._done = True
-        replies = self._pending.collect()
-        self.t_done = time.monotonic()
-        bank = self.bank
-        gen = bank.generator
-        merged = tuple(
-            sum(r["totals"][i] for r in replies) for i in range(5)
-        )
-        _merge_counters(gen.counters, merged)
-        if self._want_metrics and gen.metrics is not None:
-            gen.metrics.merge_snapshots(
-                r["metrics"] for r in replies if r["metrics"] is not None
-            )
-            gen.metrics.inc("shardpool.generate_calls")
-        sizes = np.concatenate([r["sizes"] for r in replies])
-        control = gen.control
-        interrupt: Optional[BaseException] = None
-        if control is not None:
-            # Fold the spend in full, deferring any cancellation raise
-            # until the bank's bookkeeping below is complete — a raise
-            # mid-fold would leave worker-resident sets the parent's
-            # segment map does not cover.
-            try:
-                gen._tick()
-                for size in sizes:
-                    control.on_rr_complete(int(size))
-            except ExecutionInterrupted as exc:
-                interrupt = exc
-        delivered = [
-            int(r.get("delivered", len(r["sizes"]))) for r in replies
-        ]
-        bank._appends.append(delivered)
-        for rank, c in enumerate(delivered):
-            bank._rank_totals[rank] += c
-        total = int(sum(delivered))
-        if bank.reusable:
-            bank._marks[bank.num_rr] = counters_to_dict(gen.counters)
-        if gen.metrics is not None and total:
-            gen.metrics.inc("generation.speculative_sets", total)
-        bank._account(0, total)
-        self.committed = total
-        if interrupt is not None:
-            raise interrupt
-        return total
-
-    def wait_and_commit(self) -> int:
-        return self._commit()
-
-    def abort(self, interrupted: bool = False) -> int:
-        """Resolve an unwanted in-flight request (see class docstring)."""
-        bank = self.bank
-        if not self._done and (interrupted or not bank.reusable):
-            self._pending.cancel()
-            if interrupted and bank.reusable:
-                bank._dirty = True
-        try:
-            return self._commit()
-        except ExecutionInterrupted:
-            # abort() runs on an already-interrupted unwind path (the
-            # pipeline's ``finally``); re-raising would mask the original
-            # interrupt and strand sibling requests.
-            return self.committed
 
 
 def _zero_mark() -> Dict[str, int]:

@@ -179,7 +179,7 @@ class CSRGraph:
         the graph lets every generator instance — sequential or batched —
         share one build.  Entries are guarded by :meth:`fingerprint`, so a
         stale entry can never serve a graph whose arrays differ, and the
-        cache is dropped on pickling (fan-out workers rebuild lazily).
+        cache is dropped on pickling (unpickled copies rebuild lazily).
         """
         fp = self.fingerprint()
         entry = self._cache.get(key)
@@ -208,7 +208,7 @@ class CSRGraph:
     def __getstate__(self) -> Dict[str, Any]:
         # Exclude the preprocessing cache: worker processes rebuild what
         # they need, and shipping alias/segment tables would bloat every
-        # fan-out pickle.
+        # pickle.
         return {
             slot: getattr(self, slot)
             for slot in self.__slots__

@@ -2,10 +2,10 @@
 
 The sharded worker runtime spawns long-lived processes that each need the
 full :class:`~repro.graphs.csr.CSRGraph`.  Pickling the CSR arrays into
-every worker (the per-call fan-out strategy) costs one full copy per
-process per request; instead the parent packs all graph arrays into a
-single :class:`multiprocessing.shared_memory.SharedMemory` block **once**
-and workers attach read-only NumPy views onto it — the graph is mapped,
+every worker would cost one full copy per process per request; instead
+the parent packs all graph arrays into a single
+:class:`multiprocessing.shared_memory.SharedMemory` block **once** and
+workers attach read-only NumPy views onto it — the graph is mapped,
 never copied, no matter how many workers or requests follow.
 
 The handle describing the block (:class:`SharedGraphHandle`) is a small

@@ -5,7 +5,7 @@ spend.  Two kinds of data flow into it:
 
 * **Own metrics** — pushed explicitly (``inc`` / ``set_gauge`` / ``observe``)
   by instrumented code: runtime budget tallies, checkpoint saves, RR-size
-  histograms, fan-out batch counts.
+  histograms, shard-pool call counts.
 * **Sources** — live :class:`~repro.rrsets.base.GenerationCounters` owners
   (generators, or the counter shims a checkpoint resume restores) attached
   with :meth:`attach_source`.  Their plain-int fields stay the storage the
@@ -14,7 +14,7 @@ spend.  Two kinds of data flow into it:
 
 Everything is mergeable by addition (histograms bucket-wise, gauges by
 ``max``), which makes merging child-process payloads commutative — the
-property the fan-out's rank-order merge point and its tests rely on.
+property the shard pool's rank-order merge point and its tests rely on.
 """
 
 from __future__ import annotations

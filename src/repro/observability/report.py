@@ -31,26 +31,20 @@ SCHEMA_VERSION = 1
 
 #: gauge names excluded from the canonical projection (buffer growth, and
 #: hence resident bytes, legitimately differs between a fresh run and a
-#: checkpoint-resumed one rebuilding its pools in a single append; pipeline
-#: overlap is pure wall clock)
-_NONDETERMINISTIC_GAUGES = ("rr_pool_bytes", "pipeline_overlap_seconds")
+#: checkpoint-resumed one rebuilding its pools in a single append)
+_NONDETERMINISTIC_GAUGES = ("rr_pool_bytes",)
 
 #: counter namespaces excluded from the canonical projection: the runtime
 #: budget tallies are *per-process* spend (they restart at zero when a run
 #: resumes from a checkpoint) and duplicate the ``generation.*`` totals
 _PROCESS_LOCAL_COUNTER_PREFIXES = ("runtime.",)
 
-#: per-round annotation keys dropped from the canonical projection (wall
-#: clock; everything else in a round record — theta, bounds, bound ratio —
-#: is deterministic and stays)
-_NONDETERMINISTIC_ROUND_KEYS = ("overlap_seconds",)
-
 
 def _round_records(trace: Optional[Dict[str, Any]]) -> List[Dict[str, Any]]:
     """Lift the doubling loop's per-round span annotations out of a trace.
 
     Walks the phase tree for ``round-{i}`` spans carrying annotations
-    (theta, lower/upper bounds, bound ratio, pipeline overlap) and returns
+    (theta, lower/upper bounds, bound ratio) and returns
     them as an ordered list of ``{"round": i, ...}`` records — the
     round-by-round story ``--report`` surfaces without forcing readers to
     dig through the span tree.
@@ -138,16 +132,8 @@ class RunReport:
         }
         if self.rounds:
             # Only present on traced runs (the baseline workloads run
-            # untraced, so the committed baseline document is unchanged);
-            # wall-clock overlap is stripped — theta/bounds/ratio remain.
-            payload["rounds"] = [
-                {
-                    key: value
-                    for key, value in record.items()
-                    if key not in _NONDETERMINISTIC_ROUND_KEYS
-                }
-                for record in self.rounds
-            ]
+            # untraced, so the committed baseline document is unchanged).
+            payload["rounds"] = [dict(record) for record in self.rounds]
         return payload
 
     # ------------------------------------------------------------------

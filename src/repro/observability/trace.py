@@ -48,8 +48,8 @@ class PhaseSpan:
         self.wall_seconds = 0.0
         self.counter_deltas: Dict[str, int] = {}
         self.rr_pool_bytes = 0.0
-        #: caller-supplied span facts (round theta, bound ratio, overlap
-        #: seconds, ...) — emitted verbatim under ``"annotations"``.
+        #: caller-supplied span facts (round theta, bound ratio, ...) —
+        #: emitted verbatim under ``"annotations"``.
         self.annotations: Dict[str, Any] = {}
         self.children: List["PhaseSpan"] = []
         self._started_at = 0.0

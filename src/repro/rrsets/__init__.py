@@ -22,13 +22,11 @@ node -> RR-set index for coverage queries and greedy selection.
 
 from repro.rrsets.base import GenerationCounters, RRGenerator
 from repro.rrsets.collection import RRCollection
-from repro.rrsets.fast_vanilla import FastVanillaICGenerator
 from repro.rrsets.lt import LTGenerator
 from repro.rrsets.subsim import SubsimICGenerator
 from repro.rrsets.vanilla import VanillaICGenerator
 
 __all__ = [
-    "FastVanillaICGenerator",
     "GenerationCounters",
     "LTGenerator",
     "RRCollection",

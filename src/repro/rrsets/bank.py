@@ -390,7 +390,6 @@ class RRBank:
         gen = cls(self.graph, mode) if mode is not None else cls(self.graph)
         gen.batched_mode = self.generator.batched_mode
         gen.batch_size = self.generator.batch_size
-        gen.workers = self.generator.workers
         return gen
 
     def repair(self, dirty_nodes: np.ndarray) -> Dict[str, Any]:

@@ -56,14 +56,14 @@ class RRGenerator:
     visited-mask before re-raising ``ExecutionInterrupted`` so an aborted
     generation never corrupts the next one — use :meth:`_abandon`.
 
-    **Batched execution.**  ``batch_size`` and ``workers`` select the
-    execution strategy consumed by :meth:`RRCollection.extend
-    <repro.rrsets.collection.RRCollection.extend>`: the defaults (both 1)
-    keep the sequential per-set loop and its exact RNG schedule
-    (bit-identical seeds, counters and checkpoints), while larger values
-    route through :meth:`generate_batch` — the level-synchronous vectorized
-    engine — and the multiprocess fan-out.  Generators whose model has a
-    vectorized kernel declare it via :attr:`batched_mode`.
+    **Batched execution.**  ``batch_size`` selects the execution strategy
+    consumed by :meth:`RRCollection.extend
+    <repro.rrsets.collection.RRCollection.extend>`: the default (1) keeps
+    the sequential per-set loop and its exact RNG schedule (bit-identical
+    seeds, counters and checkpoints), while larger values route through
+    :meth:`generate_batch` — the level-synchronous vectorized engine.
+    Generators whose model has a vectorized kernel declare it via
+    :attr:`batched_mode`.
     """
 
     #: human-readable name used by benchmark tables
@@ -88,9 +88,8 @@ class RRGenerator:
         #: histogram.  ``None`` (the default) keeps the hot path a plain
         #: counter bump plus one ``is None`` branch per finished set.
         self.metrics = None
-        #: execution knobs read by ``RRCollection.extend`` (see class docs)
+        #: execution knob read by ``RRCollection.extend`` (see class docs)
         self.batch_size = 1
-        self.workers = 1
         self._reported_edges = 0
         self._visited = np.zeros(graph.n, dtype=bool)
 

@@ -418,11 +418,10 @@ class RRCollection:
     ) -> None:
         """Generate and store ``count`` fresh random RR sets.
 
-        The execution strategy comes from the generator's ``batch_size`` and
-        ``workers`` attributes: the defaults (both 1) replay the sequential
-        per-set loop bit-identically; ``batch_size > 1`` routes through the
-        vectorized batched engine; ``workers > 1`` additionally shards
-        batches across processes (see :mod:`repro.rrsets.fanout`).
+        The execution strategy comes from the generator's ``batch_size``
+        attribute: the default (1) replays the sequential per-set loop
+        bit-identically; ``batch_size > 1`` routes through the vectorized
+        batched engine.
 
         ``journal``, when given, receives one appended entry per generation
         *unit* (a single ``generate`` call, or one ``generate_batch``
@@ -431,28 +430,11 @@ class RRCollection:
         draws.  Replaying a unit from its recorded state reproduces it
         bit-identically, which is what lets :meth:`~repro.rrsets.bank.
         RRBank.repair` resample exactly the sets a graph delta invalidated.
-        Fan-out generation (``workers > 1``) is not journaled — its draw
-        order is not a pure function of one recorded state.
         """
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
-        workers = int(getattr(generator, "workers", 1) or 1)
         batch_size = int(getattr(generator, "batch_size", 1) or 1)
         try:
-            if workers > 1 and count > 0:
-                from repro.rrsets.fanout import generate_multiprocess
-
-                # Loop so a budget-clamped fan-out surfaces BudgetExceeded
-                # on the next boundary (mirroring the batched path) instead
-                # of silently under-delivering.
-                remaining = count
-                while remaining > 0:
-                    nodes, sizes = generate_multiprocess(
-                        generator, remaining, rng, workers, stop_mask=stop_mask
-                    )
-                    self.add_batch(nodes, sizes)
-                    remaining -= len(sizes)
-                return
             if batch_size > 1:
                 remaining = count
                 while remaining > 0:

@@ -1,9 +1,9 @@
 """Persistent sharded worker runtime for RR-set generation and coverage.
 
-The per-call fan-out (:mod:`repro.rrsets.fanout`) pays ``Pool`` spawn, a
-full graph pickle, and a sampler-table rebuild on **every** generate call,
-and merges every shard back into one parent-resident pool.  A
-:class:`ShardPool` removes all three costs:
+A per-call process fan-out would pay process spawn, a full graph pickle,
+and a sampler-table rebuild on **every** generate call, and merge every
+shard back into one parent-resident pool.  A :class:`ShardPool` avoids
+all three costs:
 
 * **Spawn once** — workers are long-lived processes created at pool
   construction; each attaches the graph from one shared-memory block
@@ -20,23 +20,14 @@ and merges every shard back into one parent-resident pool.  A
   checkpoints its state through the :class:`~repro.runtime.checkpoint
   .CheckpointStore` after mutating commands.
 
-**Command pipelining.**  Every message carries a per-worker monotone
-*tag* — parent to worker ``(cmd, tag, payload)``, worker to parent
-``(tag, status, reply)`` — so the parent can issue a command (notably
-``generate``) and collect its reply later while sending other commands in
-between.  Workers *interleave*: between generation chunks a worker polls
-its pipe and serves non-mutating commands (coverage, selection,
-sketches, stats) inline, which is what lets the parent run a greedy
-selection over round ``i``'s prefix while the same workers generate round
-``i+1``'s sets.  Mutating commands and ``shutdown`` that arrive during a
-generate are deferred FIFO and execute after it, preserving journal
-order.  A generate stages its chunks privately and installs them with
-one ``add_batch`` at the end, so interleaved coverage reads see a stable
-pool (no per-chunk inverted-index rebuilds) and a mid-generate crash
-leaves the pool untouched.  An in-flight generate can be *cancelled* at
-a chunk boundary (``generate_cancel``); the parent then truncates the
-journaled request to the delivered count, which keeps crash replay
-bit-identical because chunk sequences are prefix-stable.
+**Tagged wire.**  Every message carries a per-worker monotone *tag* —
+parent to worker ``(cmd, tag, payload)``, worker to parent ``(tag,
+status, reply)``.  Broadcasts send to every rank before collecting, and
+replies that arrive for another tag are stashed, so a reply that shipped
+before a worker crash can still be resolved after the respawn.  A
+generate stages its chunks privately and installs them with one
+``add_batch`` at the end, so a mid-generate crash leaves the pool
+untouched and replay re-runs the whole request.
 
 **Determinism and crash recovery.**  Every mutating command carries a
 monotone per-worker sequence number and (for generation) a self-contained
@@ -64,7 +55,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from collections import deque
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -142,13 +132,6 @@ class _ShardWorker:
         #: journal replay touches the graph.
         self.deltas: List[dict] = []
         self._dirty = False
-        #: the parent pipe, for mid-generate interleaving.
-        self.conn: Any = None
-        #: commands deferred during a generate (mutations + shutdown),
-        #: drained by the main loop in arrival order.
-        self.deferred: deque = deque()
-        self.active_generate_seq: Optional[int] = None
-        self.cancel_generate = False
 
     # -- durability ----------------------------------------------------
     def _store(self):
@@ -291,41 +274,6 @@ class _ShardWorker:
             self._dirty = False
             self.checkpoint()
 
-    def _poll_commands(self) -> None:
-        """Serve commands that arrived while a generate is running.
-
-        Non-mutating commands (coverage, selection, cancellation, stats)
-        run inline against the stable pre-generate pool and reply
-        immediately — this is the worker half of generation/selection
-        overlap.  Mutating commands and ``shutdown`` are deferred FIFO;
-        once one is deferred, everything behind it defers too, so the
-        order the parent journaled is the order state advances.
-        """
-        conn = self.conn
-        if conn is None:
-            return
-        try:
-            while conn.poll(0):
-                cmd, tag, payload = conn.recv()
-                if (
-                    cmd == "shutdown"
-                    or cmd in _MUTATING_COMMANDS
-                    or self.deferred
-                ):
-                    self.deferred.append((cmd, tag, payload))
-                    continue
-                try:
-                    reply = self.dispatch(cmd, payload)
-                except ShardPoolError as exc:
-                    conn.send((tag, "error", str(exc)))
-                    continue
-                except Exception as exc:
-                    conn.send((tag, "error", f"{type(exc).__name__}: {exc}"))
-                    continue
-                conn.send((tag, "ok", reply))
-        except _LINK_ERRORS:  # parent gone: finish quietly, exit in main loop
-            self.conn = None
-
     def _cmd_hello(self, payload):
         return {
             "seq": self.seq,
@@ -351,8 +299,6 @@ class _ShardWorker:
         stop_mask = payload.get("stop_mask")
         count = int(payload["count"])
         batch = max(1, int(payload.get("batch_size", 1)))
-        self.active_generate_seq = int(payload["seq"])
-        self.cancel_generate = False
         node_chunks: List[np.ndarray] = []
         sizes_chunks: List[np.ndarray] = []
         entries: List[dict] = []
@@ -360,37 +306,29 @@ class _ShardWorker:
         produced = 0
         remaining = count
         midpoint = count // 2
-        try:
-            while remaining > 0:
-                b = min(batch, remaining)
-                rng_state = rng.bit_generator.state
-                nodes, sizes = gen.generate_batch(rng, b, stop_mask=stop_mask)
-                node_chunks.append(nodes)
-                sizes_chunks.append(sizes)
-                entries.append({
-                    "start": base + produced,
-                    "count": int(len(sizes)),
-                    "requested": int(b),
-                    "mode": "batch",
-                    "state": rng_state,
-                })
-                produced += len(sizes)
-                remaining -= len(sizes)
-                if self.crash_next and count - remaining >= midpoint:
-                    # Chaos hook: die mid-generate with chunks staged but
-                    # uncommitted and no reply sent — exactly the failure
-                    # recovery must absorb.  ``os._exit`` skips every
-                    # cleanup path.
-                    os._exit(17)
-                self._poll_commands()
-                if self.cancel_generate:
-                    break
-        finally:
-            self.active_generate_seq = None
-            self.cancel_generate = False
-        # Stage-then-commit: one add_batch keeps interleaved coverage
-        # reads on a stable pool and makes a mid-generate crash leave the
-        # pool untouched (replay re-runs the whole request).
+        while remaining > 0:
+            b = min(batch, remaining)
+            rng_state = rng.bit_generator.state
+            nodes, sizes = gen.generate_batch(rng, b, stop_mask=stop_mask)
+            node_chunks.append(nodes)
+            sizes_chunks.append(sizes)
+            entries.append({
+                "start": base + produced,
+                "count": int(len(sizes)),
+                "requested": int(b),
+                "mode": "batch",
+                "state": rng_state,
+            })
+            produced += len(sizes)
+            remaining -= len(sizes)
+            if self.crash_next and count - remaining >= midpoint:
+                # Chaos hook: die mid-generate with chunks staged but
+                # uncommitted and no reply sent — exactly the failure
+                # recovery must absorb.  ``os._exit`` skips every
+                # cleanup path.
+                os._exit(17)
+        # Stage-then-commit: one add_batch makes a mid-generate crash
+        # leave the pool untouched (replay re-runs the whole request).
         if produced:
             state.pool.add_batch(
                 np.concatenate(node_chunks), np.concatenate(sizes_chunks)
@@ -412,17 +350,7 @@ class _ShardWorker:
             "totals": delta,
             "metrics": metrics_payload,
             "num_rr": state.pool.num_rr,
-            "delivered": int(produced),
         }
-
-    def _cmd_generate_cancel(self, payload):
-        armed = (
-            self.active_generate_seq is not None
-            and self.active_generate_seq == int(payload["target_seq"])
-        )
-        if armed:
-            self.cancel_generate = True
-        return {"cancelled": armed}
 
     def _cmd_adopt(self, payload):
         state = self._role(payload["role"], payload["generator_cls"], None, 1)
@@ -663,19 +591,15 @@ def _shard_worker_main(rank, conn, handle, spill_dir, checkpoint_every,
     """
     graph = CSRGraph.from_shared(handle)
     worker = _ShardWorker(rank, graph, spill_dir, checkpoint_every)
-    worker.conn = conn
     if restore:
         worker.restore()
     else:
         worker.discard_checkpoint()
     while True:
-        if worker.deferred:
-            cmd, tag, payload = worker.deferred.popleft()
-        else:
-            try:
-                cmd, tag, payload = conn.recv()
-            except _LINK_ERRORS:  # parent is gone
-                break
+        try:
+            cmd, tag, payload = conn.recv()
+        except _LINK_ERRORS:  # parent is gone
+            break
         if cmd == "shutdown":
             try:
                 conn.send((tag, "ok", None))
@@ -698,101 +622,14 @@ def _shard_worker_main(rank, conn, handle, spill_dir, checkpoint_every,
 # parent side
 # ----------------------------------------------------------------------
 
-class PendingGenerate:
-    """Handle for a generate broadcast whose replies are collected later.
-
-    Issued by :meth:`ShardPool.generate_async`.  :meth:`collect` gathers
-    the per-rank replies in rank order (recovering crashed workers along
-    the way) and retroactively truncates the journaled request counts for
-    cancelled partial deliveries; :meth:`cancel` asks every worker to
-    stop its in-flight request at the next chunk boundary.
-    """
-
-    def __init__(self, pool, tags, seqs, epochs, payloads) -> None:
-        self._pool = pool
-        self._tags = tags
-        self._seqs = seqs
-        self._epochs = epochs
-        self._payloads = payloads
-        self._cancel_tags: List[Optional[int]] = [None] * pool.shards
-        self._replies: Optional[List[dict]] = None
-
-    def cancel(self) -> None:
-        """Best-effort: stop each in-flight request at a chunk boundary."""
-        if self._replies is not None:
-            return
-        pool = self._pool
-        for rank in range(pool.shards):
-            if self._cancel_tags[rank] is not None:
-                continue
-            if self._epochs[rank] != pool._epochs[rank]:
-                continue  # worker respawned: replay already re-ran it
-            try:
-                self._cancel_tags[rank] = pool._send(
-                    rank, "generate_cancel",
-                    {"target_seq": self._seqs[rank]},
-                )
-            except _LINK_ERRORS:
-                pass  # collection recovers the rank
-
-    def collect(self) -> List[dict]:
-        """Per-rank generate replies in rank order (blocking)."""
-        if self._replies is not None:
-            return self._replies
-        pool = self._pool
-        replies: List[dict] = []
-        for rank in range(pool.shards):
-            reply = pool._finish_request(
-                rank,
-                self._tags[rank],
-                self._seqs[rank],
-                self._epochs[rank],
-                "generate",
-                self._payloads[rank],
-            )
-            self._absorb_cancel(rank)
-            delivered = int(reply.get("delivered", len(reply["sizes"])))
-            entry = pool._journal_payload(rank, self._seqs[rank])
-            if entry is not None and delivered < int(entry["count"]):
-                # Chunk-boundary truncation: replaying the request with
-                # the delivered count regenerates the identical chunk
-                # prefix, so recovery stays bit-identical.
-                entry["count"] = delivered
-            replies.append(reply)
-            pool._maybe_compact(rank)
-        self._replies = replies
-        return replies
-
-    def _absorb_cancel(self, rank: int) -> None:
-        tag = self._cancel_tags[rank]
-        if tag is None:
-            return
-        pool = self._pool
-        if pool._stash[rank].pop(tag, None) is not None:
-            return
-        conn = pool._conns[rank]
-        try:
-            while conn is not None and conn.poll(0):
-                rtag, status, reply = conn.recv()
-                if rtag == tag:
-                    return
-                pool._stash[rank][rtag] = (status, reply)
-        except _LINK_ERRORS:
-            pass
-        # Not arrived yet (cancel raced past the generate): drop it when
-        # it eventually shows up instead of stashing it forever.
-        pool._discard_tags[rank].add(tag)
-
-
 class ShardPool:
     """A fixed set of long-lived worker processes owning RR-pool shards.
 
     The pool is role-multiplexed: any number of RR banks (``"opimc.r1"``,
     ``"sentinel.r2"``, ...) share the same workers, each role owning one
     resident :class:`RRCollection` shard per worker.  Communication is
-    tagged request/reply over per-worker pipes; most calls gather replies
-    in rank order immediately, while :meth:`generate_async` defers
-    collection so generation overlaps parent-side work.
+    tagged request/reply over per-worker pipes; every call gathers its
+    replies in rank order.
 
     ``spill_dir`` enables spill-to-disk for cold shards, the per-worker
     checkpoint that shortens crash-recovery replay, and journal
@@ -838,10 +675,7 @@ class ShardPool:
         self._stash: List[Dict[int, Tuple[str, Any]]] = [
             {} for _ in range(self.shards)
         ]
-        #: tags whose replies should be dropped on arrival (absorbed
-        #: cancellations that raced past their generate).
-        self._discard_tags: List[set] = [set() for _ in range(self.shards)]
-        #: bumped on every (re)spawn; a handle issued under an older epoch
+        #: bumped on every (re)spawn; a request sent under an older epoch
         #: resolves its reply from the stash or the replay cache.
         self._epochs: List[int] = [0] * self.shards
         #: replies of journal-replayed commands from the latest recovery,
@@ -915,14 +749,10 @@ class ShardPool:
         if hit is not None:
             return hit
         conn = self._conns[rank]
-        discard = self._discard_tags[rank]
         while True:
             rtag, status, reply = conn.recv()
             if rtag == tag:
                 return status, reply
-            if rtag in discard:
-                discard.discard(rtag)
-                continue
             stash[rtag] = (status, reply)
 
     def _exchange(self, rank: int, cmd: str, payload: dict):
@@ -957,19 +787,15 @@ class ShardPool:
         """Stash every reply still buffered in a dead worker's pipe.
 
         A reply that shipped before the crash survives in the pipe until
-        EOF; stashing it (keyed by its tag, which is never reused) lets a
-        pending handle resolve it after the respawn.
+        EOF; stashing it (keyed by its tag, which is never reused) lets the
+        pending request resolve it after the respawn.
         """
         conn = self._conns[rank]
         if conn is None:
             return
-        discard = self._discard_tags[rank]
         try:
             while conn.poll(0):
                 rtag, status, reply = conn.recv()
-                if rtag in discard:
-                    discard.discard(rtag)
-                    continue
                 self._stash[rank][rtag] = (status, reply)
         except _LINK_ERRORS:
             pass
@@ -1019,14 +845,6 @@ class ShardPool:
                     "select_mark",
                     {"role": role, "node": node, "want_decrements": False},
                 )
-
-    def _journal_payload(self, rank: int, seq: int) -> Optional[dict]:
-        """The retained journal payload at absolute ``seq`` (None if
-        compacted away — a shipped checkpoint already covers it)."""
-        offset = seq - self._journal_base[rank]
-        if 0 <= offset < len(self._journal[rank]):
-            return self._journal[rank][offset][1]
-        return None
 
     def _maybe_compact(self, rank: int) -> None:
         """Trim the replay journal up to the worker's shipped checkpoint."""
@@ -1153,32 +971,6 @@ class ShardPool:
         return replies
 
     # -- generation ----------------------------------------------------
-    def _generate_payloads(
-        self,
-        role: str,
-        counts: Sequence[int],
-        seeds: Sequence[np.random.SeedSequence],
-        *,
-        generator_cls,
-        batched_mode: Optional[str],
-        batch_size: int,
-        stop_mask: Optional[np.ndarray],
-        want_metrics: bool,
-    ) -> List[dict]:
-        return [
-            {
-                "role": role,
-                "count": int(counts[rank]),
-                "seed": seeds[rank],
-                "generator_cls": generator_cls,
-                "batched_mode": batched_mode,
-                "batch_size": int(batch_size),
-                "stop_mask": stop_mask,
-                "want_metrics": bool(want_metrics),
-            }
-            for rank in range(self.shards)
-        ]
-
     def generate(
         self,
         role: str,
@@ -1198,60 +990,20 @@ class ShardPool:
         metrics snapshot.  Counts of zero still round-trip so every rank's
         journal advances in lockstep.
         """
-        payloads = self._generate_payloads(
-            role, counts, seeds,
-            generator_cls=generator_cls, batched_mode=batched_mode,
-            batch_size=batch_size, stop_mask=stop_mask,
-            want_metrics=want_metrics,
-        )
+        payloads = [
+            {
+                "role": role,
+                "count": int(counts[rank]),
+                "seed": seeds[rank],
+                "generator_cls": generator_cls,
+                "batched_mode": batched_mode,
+                "batch_size": int(batch_size),
+                "stop_mask": stop_mask,
+                "want_metrics": bool(want_metrics),
+            }
+            for rank in range(self.shards)
+        ]
         return self._request_all("generate", payloads, journal=True)
-
-    def generate_async(
-        self,
-        role: str,
-        counts: Sequence[int],
-        seeds: Sequence[np.random.SeedSequence],
-        *,
-        generator_cls,
-        batched_mode: Optional[str],
-        batch_size: int,
-        stop_mask: Optional[np.ndarray] = None,
-        want_metrics: bool = False,
-    ) -> PendingGenerate:
-        """Issue a generate broadcast without waiting for the replies.
-
-        The request is journaled exactly like :meth:`generate`; the
-        returned :class:`PendingGenerate` collects the replies later.
-        Until then the workers interleave: coverage, selection and stats
-        commands sent on the same pipes are served between generation
-        chunks, which is the mechanism behind speculative pipelining.
-        Reads of the *new* prefix must wait for :meth:`PendingGenerate
-        .collect` — interleaved reads see the pre-request pool.
-        """
-        if self._closed:
-            raise ShardPoolError("shard pool is closed")
-        payloads = self._generate_payloads(
-            role, counts, seeds,
-            generator_cls=generator_cls, batched_mode=batched_mode,
-            batch_size=batch_size, stop_mask=stop_mask,
-            want_metrics=want_metrics,
-        )
-        staged: List[dict] = []
-        tags: List[Optional[int]] = []
-        seqs: List[int] = []
-        epochs: List[int] = []
-        for rank in range(self.shards):
-            seq = self._journal_base[rank] + len(self._journal[rank])
-            payload = dict(payloads[rank], seq=seq)
-            self._journal[rank].append(("generate", payload))
-            staged.append(payload)
-            seqs.append(seq)
-            epochs.append(self._epochs[rank])
-            try:
-                tags.append(self._send(rank, "generate", payload))
-            except _LINK_ERRORS:
-                tags.append(None)
-        return PendingGenerate(self, tags, seqs, epochs, staged)
 
     def adopt(self, role: str, shards_data, generator_cls) -> None:
         """Scatter pre-generated ``(nodes, sizes)`` pairs into the shards

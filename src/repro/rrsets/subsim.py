@@ -60,7 +60,7 @@ class SubsimICGenerator(RRGenerator):
             )
         self.general_mode = general_mode
         # Per-node uniform-rate arrays, cached on the graph: every generator
-        # instance over this graph (bank roles, fan-out workers, repeated
+        # instance over this graph (bank roles, shard workers, repeated
         # queries) shares one build.  The arrays are never mutated here.
         arrays = uniform_arrays(graph)
         self._is_uniform = arrays.is_uniform

@@ -6,7 +6,7 @@ per-node rate and its ``log1p``, the sorted path needs the positional
 bucket boundaries of Section 3.3, and the batched LT kernel needs a Walker
 alias table per node.  Rebuilding those per *generator instance* wastes
 work — algorithms construct many generators over one graph (one per bank
-role, one per fan-out worker, one per query) — so the builders here are
+role, one per shard worker, one per query) — so the builders here are
 designed to be memoised on the graph via :meth:`CSRGraph.cached
 <repro.graphs.csr.CSRGraph.cached>`, keyed by the graph fingerprint.
 

@@ -52,11 +52,6 @@ class ServerConfig:
         (inverted-CSR selection, the historical behavior), ``"sketch"``
         (per-node HLL coverage rows — far smaller resident footprint at
         huge theta, certified-approximate bounds), or ``"auto"``.
-    prefetch:
-        Speculative pipelining of every tenant query's doubling loop:
-        ``"next-round"`` overlaps next-round RR generation with this
-        round's selection/validation (bit-identical results), ``"off"``
-        (default) keeps the serial loop.
     default_deadline:
         Deadline (seconds) applied to queries that do not send one;
         ``None`` means no implicit deadline.
@@ -107,7 +102,6 @@ class ServerConfig:
     byte_cap: Optional[int] = None
     tenant_byte_caps: Dict[str, int] = field(default_factory=dict)
     coverage_backend: str = "exact"
-    prefetch: str = "off"
     default_deadline: Optional[float] = None
     deadline_grace: float = 2.0
     lifetime_budget: Budget = field(default_factory=Budget)
@@ -161,9 +155,6 @@ class ServerConfig:
                 f"{', '.join(repr(b) for b in COVERAGE_BACKENDS)}, "
                 f"got {self.coverage_backend!r}"
             )
-        from repro.engine.prefetch import validate_prefetch_mode
-
-        validate_prefetch_mode(self.prefetch)
         for tenant, cap in self.tenant_byte_caps.items():
             if cap < 1:
                 raise ConfigurationError(

@@ -124,7 +124,6 @@ class SessionManager:
             shards=self.config.shards,
             spill_dir=self.spill_path(tenant, graph_name),
             coverage_backend=self.config.coverage_backend,
-            prefetch=self.config.prefetch,
         )
         entry = SessionEntry((tenant, graph_name), session)
         path = self.snapshot_path(tenant, graph_name)

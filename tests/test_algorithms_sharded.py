@@ -15,6 +15,7 @@ from repro.engine.session import QuerySession
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.weights import wc_weights
 from repro.rrsets.shardpool import ShardPool
+from repro.runtime import Budget
 from repro.utils.exceptions import ConfigurationError
 
 
@@ -24,7 +25,9 @@ def graph():
 
 
 class TestRunWithShards:
-    @pytest.mark.parametrize("name", ["opim-c-fast", "subsim", "hist+subsim"])
+    @pytest.mark.parametrize(
+        "name", ["opim-c", "subsim", "hist+subsim", "opim-c-lt"]
+    )
     def test_run_to_run_deterministic(self, graph, name):
         results = []
         for _ in range(2):
@@ -50,6 +53,15 @@ class TestRunWithShards:
             # The pool survives the runs (they did not close it).
             assert pool.stats() is not None
 
+    def test_rr_budget_enforced_at_request_boundary(self, graph):
+        result = get_algorithm("subsim", graph).run(
+            5, eps=0.1, seed=3, shards=2, batch_size=16,
+            budget=Budget(max_rr_sets=150),
+        )
+        assert result.status == "partial"
+        assert result.stop_reason == "num_rr_sets"
+        assert 0 < result.num_rr_sets <= 150
+
     def test_lt_model_runs_sharded(self, graph):
         result = get_algorithm("imm-lt", graph, max_rr_sets=2000).run(
             3, eps=0.5, seed=9, shards=2, batch_size=16
@@ -59,12 +71,6 @@ class TestRunWithShards:
 
 
 class TestValidation:
-    def test_workers_and_shards_conflict(self, graph):
-        with pytest.raises(ConfigurationError):
-            get_algorithm("subsim", graph).run(
-                3, eps=0.4, seed=1, shards=2, workers=2
-            )
-
     def test_spill_dir_requires_shards(self, graph, tmp_path):
         with pytest.raises(ConfigurationError):
             get_algorithm("subsim", graph).run(
@@ -104,6 +110,25 @@ class TestShardedSession:
             session.maximize(4, eps=0.4, batch_size=16)
             assert session.metrics.value("bank.sets_reused") > 0
             assert session.metrics.value("bank.sets_generated") >= generated_cold
+
+    def test_byte_capped_session_matches_uncapped(self, graph):
+        """Eviction under a byte cap regenerates the evicted prefix
+        bit-identically, so capped answers equal uncapped ones."""
+        answers = []
+        for cap in (None, 16 * 1024):
+            with QuerySession(
+                graph, "subsim", seed=5, shards=2, byte_cap=cap
+            ) as session:
+                answers.append([
+                    (r.seeds, r.num_rr_sets, r.lower_bound)
+                    for r in (
+                        session.maximize(k, eps=0.3, batch_size=16)
+                        for k in (3, 5, 4)
+                    )
+                ])
+                if cap is not None:
+                    assert session.metrics.value("bank.evictions") > 0
+        assert answers[0] == answers[1]
 
     def test_save_rejected_when_sharded(self, graph, tmp_path):
         with QuerySession(graph, "subsim", seed=5, shards=2) as session:

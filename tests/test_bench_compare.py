@@ -14,8 +14,19 @@ bench_compare = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_compare)
 
 
+def _nested(dotted, value):
+    """The smallest document whose ``dotted`` path holds ``value``."""
+    doc = value
+    for part in reversed(dotted.split(".")):
+        doc = {"x" if part == "*" else part: doc}
+    return doc
+
+
 def write_results(root, session=1.0, generalw=(10.0, 160.0), dynamic=8.0):
+    """One file per gate headline; the three named ones are tunable."""
     root.mkdir(parents=True, exist_ok=True)
+    for filename, dotted, _ in bench_compare.HEADLINES:
+        (root / filename).write_text(json.dumps(_nested(dotted, 5.0)))
     (root / "BENCH_session.json").write_text(
         json.dumps({"second_query_reduction": session})
     )
@@ -86,18 +97,37 @@ class TestCompare:
         assert code == 0
         assert "WAIVED" in capsys.readouterr().out
 
-    def test_missing_files_are_skipped_not_failed(self, dirs, capsys):
+    def test_missing_files_fail_the_gate(self, dirs, capsys):
         base, cur = dirs
         write_results(cur)
+        (base / "BENCH_rrgen.json").unlink()  # no committed baseline
         (cur / "BENCH_dynamic.json").unlink()  # not produced this run
         assert bench_compare.main(
             ["--baseline-dir", str(base), "--current-dir", str(cur)]
-        ) == 0
+        ) == 1
         out = capsys.readouterr().out
-        # BENCH_rrgen.json has no committed baseline; BENCH_dynamic.json was
-        # not produced — both must be reported, neither may fail the gate
-        assert "BENCH_rrgen.json: no committed baseline" in out
-        assert "BENCH_dynamic.json: not produced" in out
+        # A headline that cannot be checked is a failure, never a skip:
+        # otherwise coverage could be lost silently.
+        assert "FAIL  BENCH_rrgen.json: no committed baseline" in out
+        assert "FAIL  BENCH_dynamic.json: not produced" in out
+
+    def test_baseline_without_headline_path_fails(self, dirs, capsys):
+        base, cur = dirs
+        write_results(cur)
+        (base / "BENCH_sharded.json").write_text(json.dumps({"other": 1.0}))
+        assert bench_compare.main(
+            ["--baseline-dir", str(base), "--current-dir", str(cur)]
+        ) == 1
+        out = capsys.readouterr().out
+        assert "FAIL  BENCH_sharded.json: baseline lacks" in out
+
+    def test_committed_results_pass_against_themselves(self, capsys):
+        results = (
+            Path(__file__).resolve().parents[1] / "benchmarks" / "results"
+        )
+        assert bench_compare.main(
+            ["--baseline-dir", str(results), "--current-dir", str(results)]
+        ) == 0
 
     def test_metric_vanishing_from_current_fails(self, dirs):
         base, cur = dirs

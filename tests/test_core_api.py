@@ -76,17 +76,17 @@ class TestFacade:
         )
         assert result.num_rr_sets <= 1000
 
-    def test_batch_size_and_workers_forwarded_to_run(self, wc_graph):
+    def test_batch_size_forwarded_to_run(self, wc_graph):
         # Regression: these are run() parameters, not constructor kwargs —
         # they used to fall into **algorithm_kwargs and blow up the
         # algorithm constructor with a TypeError.
         result = InfluenceMaximizer(wc_graph).maximize(
-            3, algorithm="subsim", eps=0.4, seed=0, batch_size=16, workers=1
+            3, algorithm="subsim", eps=0.4, seed=0, batch_size=16
         )
         assert len(result.seeds) == 3
         functional = maximize_influence(
             wc_graph, 3, algorithm="subsim", eps=0.4, seed=0,
-            batch_size=16, workers=1,
+            batch_size=16,
         )
         assert functional.seeds == result.seeds
 
@@ -116,30 +116,6 @@ class TestFacadeSessions:
                 3, algorithm="subsim", seed=0, reuse_pool=True,
                 checkpoint=str(tmp_path / "c.npz"),
             )
-
-
-class TestFastVariant:
-    def test_opim_c_fast_registered(self, wc_graph):
-        result = maximize_influence(
-            wc_graph, 3, algorithm="opim-c-fast", eps=0.4, seed=0
-        )
-        assert len(result.seeds) == 3
-        assert result.algorithm == "opim-c+fast-vanilla"
-
-    def test_fast_and_slow_same_quality(self, wc_graph):
-        from repro.estimation.montecarlo import estimate_spread
-
-        slow = maximize_influence(wc_graph, 4, algorithm="opim-c", eps=0.3, seed=2)
-        fast = maximize_influence(
-            wc_graph, 4, algorithm="opim-c-fast", eps=0.3, seed=2
-        )
-        sp_slow = estimate_spread(
-            wc_graph, slow.seeds, num_simulations=300, seed=0
-        ).mean
-        sp_fast = estimate_spread(
-            wc_graph, fast.seeds, num_simulations=300, seed=0
-        ).mean
-        assert sp_fast >= 0.85 * sp_slow
 
 
 class TestEvaluateModels:

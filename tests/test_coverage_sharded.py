@@ -20,7 +20,7 @@ from repro.graphs.generators import erdos_renyi
 from repro.graphs.weights import wc_weights
 from repro.observability import MetricsRegistry
 from repro.rrsets.collection import RRCollection
-from repro.rrsets.fanout import shard_counts
+from repro.engine.shards import shard_counts
 from repro.rrsets.shardpool import ShardPool
 from repro.rrsets.subsim import SubsimICGenerator
 from repro.utils.exceptions import ConfigurationError

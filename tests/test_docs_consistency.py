@@ -79,6 +79,77 @@ class TestDesignAndExperiments:
             assert name in text, name
 
 
+def _cli_commands():
+    """``(doc, subcommand, argument text)`` for every documented CLI call.
+
+    Matches ``python -m repro <sub> ...`` anywhere and ``repro <sub> ...``
+    as inline code, joining shell line continuations first.
+    """
+    docs = [
+        REPO_ROOT / "README.md",
+        *sorted((REPO_ROOT / "docs").glob("*.md")),
+        # the build-and-run notes kept beside the repository's tooling
+        *sorted(REPO_ROOT.glob(".*/skills/*/SKILL.md")),
+    ]
+    pattern = re.compile(
+        r"(?:python -m repro|`repro)[ \t]+([a-z][a-z0-9-]*)([^`\n]*)"
+    )
+    found = []
+    for path in docs:
+        text = re.sub(r"\\\n\s*", " ", path.read_text())
+        for sub, rest in pattern.findall(text):
+            found.append((path.relative_to(REPO_ROOT).as_posix(), sub, rest))
+    return found
+
+
+def _subparsers():
+    import argparse
+
+    from repro.cli import build_parser
+
+    action = next(
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    return action.choices
+
+
+class TestCliCommandsInDocs:
+    """Documented CLI invocations must still parse: no stale flags,
+    subcommands or algorithm names."""
+
+    def test_docs_contain_cli_commands(self):
+        assert len(_cli_commands()) >= 20
+
+    def test_subcommands_and_flags_exist(self):
+        parsers = _subparsers()
+        stale = []
+        for doc, sub, rest in _cli_commands():
+            if sub not in parsers:
+                stale.append(f"{doc}: unknown subcommand {sub!r}")
+                continue
+            known = set(parsers[sub]._option_string_actions)
+            for flag in re.findall(r"(?<![\w-])(--[a-z][a-z0-9-]*)", rest):
+                if flag not in known:
+                    stale.append(f"{doc}: `{sub} {flag}` is not accepted")
+        assert not stale, "\n".join(stale)
+
+    def test_algorithm_and_generator_names_exist(self):
+        from repro.cli import _GENERATOR_CLASSES
+
+        algorithms = set(available_algorithms())
+        stale = []
+        for doc, sub, rest in _cli_commands():
+            for name in re.findall(r"--algorithm[ =]([A-Za-z0-9+_.-]+)", rest):
+                if name not in algorithms:
+                    stale.append(f"{doc}: --algorithm {name} is not registered")
+            for names in re.findall(r"--generators[ =]([a-z0-9,-]+)", rest):
+                for name in names.split(","):
+                    if name not in _GENERATOR_CLASSES:
+                        stale.append(f"{doc}: generator {name!r} is unknown")
+        assert not stale, "\n".join(stale)
+
+
 class TestPackageMetadata:
     def test_version_attribute(self):
         assert re.match(r"\d+\.\d+\.\d+", repro.__version__)

@@ -183,12 +183,11 @@ class TestMetricsRegistry:
 
 
 # ----------------------------------------------------------------------
-# generator integration: no-sink no-op, sinks, fan-out merge
+# generator integration: no-sink no-op, sinks, shard-pool merge
 # ----------------------------------------------------------------------
-def _grow(graph, cls, count, metrics=None, batch_size=1, workers=1):
+def _grow(graph, cls, count, metrics=None, batch_size=1):
     gen = cls(graph)
     gen.batch_size = batch_size
-    gen.workers = workers
     if metrics is not None:
         gen.metrics = metrics
         metrics.attach_source(gen)
@@ -221,39 +220,29 @@ class TestGeneratorIntegration:
         assert hist.sum == int(pool.set_sizes().sum())
         assert reg.gauge("rr_pool_bytes") == pool.nbytes()
 
-    def test_fanout_merges_child_metrics(self, wc_graph):
+    @staticmethod
+    def _sharded_snapshot(graph):
         reg = MetricsRegistry()
-        _, pool = _grow(
-            wc_graph,
-            VanillaICGenerator,
-            200,
-            metrics=reg,
-            batch_size=64,
-            workers=2,
+        result = get_algorithm("opim-c", graph).run(
+            5, eps=0.4, seed=3, shards=2, batch_size=32, metrics=reg
         )
-        snapshot = reg.snapshot()
-        # Histograms observed inside child processes arrive via the
+        return result, reg.snapshot()
+
+    def test_shard_pool_merges_child_metrics(self, wc_graph):
+        result, snapshot = self._sharded_snapshot(wc_graph)
+        # Histograms observed inside the shard workers arrive via the
         # rank-order merge; generation totals via the counters tuple.
         hist = snapshot["histograms"]["rr_size"]
-        assert hist["total"] == 200
-        assert hist["sum"] == int(pool.set_sizes().sum())
-        assert snapshot["counters"]["generation.sets_generated"] == 200
-        assert snapshot["counters"]["fanout.calls"] >= 1
+        counters = snapshot["counters"]
+        assert counters["generation.sets_generated"] == result.num_rr_sets
+        assert hist["total"] == result.num_rr_sets
+        assert hist["sum"] == counters["generation.nodes_added"]
+        assert counters["shardpool.generate_calls"] >= 1
 
-    def test_fanout_metrics_reproducible(self, wc_graph):
-        snapshots = []
-        for _ in range(2):
-            reg = MetricsRegistry()
-            _grow(
-                wc_graph,
-                VanillaICGenerator,
-                200,
-                metrics=reg,
-                batch_size=64,
-                workers=2,
-            )
-            snapshots.append(reg.snapshot())
-        assert snapshots[0] == snapshots[1]
+    def test_shard_pool_metrics_reproducible(self, wc_graph):
+        _, first = self._sharded_snapshot(wc_graph)
+        _, second = self._sharded_snapshot(wc_graph)
+        assert first == second
 
 
 # ----------------------------------------------------------------------
@@ -400,6 +389,35 @@ class TestRunReport:
         assert not any(n.startswith("runtime.") for n in canonical["counters"])
         assert canonical["counters"]["generation.edges_examined"] > 0
         assert canonical["histograms"]["rr_size"]["total"] == result.num_rr_sets
+
+    @pytest.mark.parametrize("algorithm", ["subsim", "hist"])
+    def test_canonical_keeps_per_round_records(self, wc_graph, algorithm):
+        result, reg = _instrumented_run(
+            wc_graph, algorithm=algorithm, trace=True
+        )
+        report = build_run_report(
+            result,
+            wc_graph,
+            seed=SEED,
+            metrics=reg,
+            trace=result.extras["trace"],
+        )
+        rounds = report.canonical().get("rounds")
+        assert rounds, "a traced run must surface per-round records"
+        assert [r["round"] for r in rounds] == list(range(1, len(rounds) + 1))
+        for record in rounds:
+            assert set(record) == {
+                "round", "theta", "lower", "upper", "bound_ratio"
+            }
+        # Per-round facts are deterministic: a rerun reproduces them.
+        again, reg2 = _instrumented_run(
+            wc_graph, algorithm=algorithm, trace=True
+        )
+        report2 = build_run_report(
+            again, wc_graph, seed=SEED, metrics=reg2,
+            trace=again.extras["trace"],
+        )
+        assert report2.canonical()["rounds"] == rounds
 
     def test_vanilla_report_serializes_without_runtime_extras(self, wc_graph):
         # Vanilla generation accumulates numpy scalars into the result's

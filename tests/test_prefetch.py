@@ -1,34 +1,24 @@
-"""Speculative pipelined doubling: bit-identity, budgets, interrupts.
+"""Session interrupts: a cancel that lands mid-doubling on a warm session.
 
-The contract under test (``repro/engine/prefetch.py``): with
-``prefetch="next-round"`` the doubling loop overlaps next-round RR
-generation with this round's selection/validation, and every observable
-output — seeds, bounds, pool sizes, per-round trace annotations — is
-**bit-identical** to the serial loop, across unsharded and sharded banks.
-Interrupts land as clean partials, budgets are never overshot, and the
-refine ladder composes with speculation unchanged.
+The module keeps its name from the former next-round prefetch pipeline;
+its interrupt contract outlived the pipeline. A cancel during a session
+query degrades to a clean partial, and the reusable banks come out
+consistent: the next query is bit-identical to the same query on a
+never-interrupted session, unsharded and sharded alike.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.registry import get_algorithm
-from repro.engine.prefetch import (
-    PrefetchController,
-    banks_independent,
-    validate_prefetch_mode,
-)
+from repro.core.certify import partial_certificate
 from repro.engine.session import QuerySession
 from repro.graphs.generators import preferential_attachment
 from repro.graphs.weights import wc_weights
-from repro.observability import MetricsRegistry
-from repro.runtime import Budget, CancellationToken, FaultInjector
-from repro.utils.exceptions import CancelledError, ConfigurationError
+from repro.runtime import CancellationToken, FaultInjector
 
 K = 8
 EPS = 0.25
-SEED = 11
 
 
 @pytest.fixture(scope="module")
@@ -36,190 +26,15 @@ def graph():
     return wc_weights(preferential_attachment(300, 3, seed=1, reciprocal=0.3))
 
 
-def _run(graph, prefetch, algorithm="subsim", **kwargs):
-    metrics = MetricsRegistry()
-    result = get_algorithm(algorithm, graph).run(
-        K, eps=EPS, seed=SEED, metrics=metrics, prefetch=prefetch, **kwargs
-    )
-    return result, metrics
-
-
-def _outputs(result):
-    return (
-        result.seeds,
-        result.lower_bound,
-        result.upper_bound,
-        result.num_rr_sets,
-        result.status,
-        result.stop_reason,
-    )
-
-
-def _session_outputs(graph, prefetch, shards=None, queries=2, **kwargs):
-    session = QuerySession(
-        graph, "subsim", seed=7, shards=shards, prefetch=prefetch
-    )
-    try:
-        results = [
-            session.maximize(K + 2 * i, eps=EPS, **kwargs)
-            for i in range(queries)
-        ]
-        return [_outputs(r) for r in results], session.metrics
-    finally:
-        session.close()
-
-
-class TestKnob:
-    def test_validate_accepts_known_modes(self):
-        assert validate_prefetch_mode("off") == "off"
-        assert validate_prefetch_mode("next-round") == "next-round"
-
-    def test_validate_rejects_unknown(self):
-        with pytest.raises(ConfigurationError):
-            validate_prefetch_mode("sometimes")
-
-    def test_run_rejects_unknown(self, graph):
-        with pytest.raises(ConfigurationError):
-            get_algorithm("subsim", graph).run(K, eps=EPS, prefetch="later")
-
-    def test_prefetch_with_checkpoint_rejected(self, graph, tmp_path):
-        with pytest.raises(ConfigurationError):
-            get_algorithm("subsim", graph).run(
-                K,
-                eps=EPS,
-                seed=SEED,
-                prefetch="next-round",
-                checkpoint=str(tmp_path / "ck.npz"),
-            )
-
-    def test_server_config_validates_prefetch(self):
-        from repro.serving.config import ServerConfig
-
-        assert ServerConfig(prefetch="next-round").prefetch == "next-round"
-        with pytest.raises(ConfigurationError):
-            ServerConfig(prefetch="eager")
-
-
-class TestBitIdentity:
-    """Seed-for-seed equality of prefetch on vs. off, every bank kind."""
-
-    @pytest.mark.parametrize("algorithm", ["opim-c", "subsim", "hist"])
-    def test_transient_run_identical(self, graph, algorithm):
-        off, m_off = _run(graph, "off", algorithm=algorithm)
-        on, m_on = _run(graph, "next-round", algorithm=algorithm)
-        assert _outputs(off) == _outputs(on)
-        # Transient banks share the run RNG: provably dependent, so the
-        # pipeline must have (correctly) refused to speculate at all.
-        assert m_on.value("generation.speculative_sets") == 0
-
-    def test_session_unsharded_identical_and_speculative(self, graph):
-        off, _ = _session_outputs(graph, "off")
-        on, metrics = _session_outputs(graph, "next-round")
-        assert off == on
-        assert metrics.value("generation.speculative_sets") > 0
-        assert metrics.value("generation.speculation_hits") > 0
-
-    def test_session_sharded_identical_and_speculative(self, graph):
-        off, _ = _session_outputs(graph, "off", shards=2)
-        on, metrics = _session_outputs(graph, "next-round", shards=2)
-        assert off == on
-        assert metrics.value("generation.speculative_sets") > 0
-        assert metrics.value("generation.speculation_hits") > 0
-
-    def test_round_annotations_identical(self, graph):
-        """Canonical per-round records (theta/bounds) match on vs. off."""
-        from repro.observability import build_run_report
-
-        def rounds(prefetch):
-            result, metrics = _run(graph, prefetch, trace=True)
-            report = build_run_report(
-                result, graph, seed=SEED, metrics=metrics,
-                trace=result.extras.get("trace"),
-            )
-            canonical = report.canonical()
-            assert "pipeline_overlap_seconds" not in canonical["gauges"]
-            return canonical.get("rounds")
-
-        off = rounds("off")
-        assert off, "traced run must surface per-round records"
-        assert all("theta" in r and "bound_ratio" in r for r in off)
-        assert off == rounds("next-round")
-
-    def test_parallel_bootstrap_matches_forced_serial(self, graph, monkeypatch):
-        """ensure_pair's concurrent bootstrap == the serial bootstrap."""
-        serial, _ = _session_outputs(graph, "off", queries=1)
-        import repro.engine.prefetch as prefetch_mod
-
-        monkeypatch.setattr(
-            prefetch_mod, "banks_independent", lambda a, b: False
-        )
-        forced, metrics = _session_outputs(graph, "off", queries=1)
-        assert metrics.value("generation.speculative_sets") == 0
-        assert serial == forced
-
-
-class TestBudgets:
-    def test_rr_budget_never_overshot(self, graph):
-        budget = Budget(max_rr_sets=200)
-        off, _ = _run(graph, "off", budget=budget)
-        on, metrics = _run(graph, "next-round", budget=Budget(max_rr_sets=200))
-        assert _outputs(off) == _outputs(on)
-        assert on.num_rr_sets <= 200
-        # The conservative launch gate refuses speculation under a set cap
-        # it cannot prove: the serial fallback enforces mid-generation.
-        assert metrics.value("generation.speculative_sets") == 0
-
-    def test_edge_budget_disables_speculation(self, graph):
-        off, _ = _run(graph, "off", budget=Budget(max_edges_examined=4000))
-        on, metrics = _run(
-            graph, "next-round", budget=Budget(max_edges_examined=4000)
-        )
-        assert _outputs(off) == _outputs(on)
-        assert metrics.value("generation.speculative_sets") == 0
-
-    def test_byte_capped_session_identical(self, graph):
-        cap = 512 * 1024
-        off, _ = _session_outputs(graph, "off", shards=2)
-        session = QuerySession(
-            graph, "subsim", seed=7, shards=2,
-            byte_cap=cap, prefetch="next-round",
-        )
-        try:
-            results = [
-                _outputs(session.maximize(K + 2 * i, eps=EPS))
-                for i in range(2)
-            ]
-        finally:
-            session.close()
-        assert results == off
-
-
-class TestRefineLadder:
-    def test_sketch_escalation_with_prefetch_identical(self, graph):
-        """The refine hook re-selects at the same theta while a
-        speculation is in flight; escalations and outputs must match."""
-        session_kwargs = {"coverage_backend": "sketch"}
-        off, m_off = _session_outputs(graph, "off", **session_kwargs)
-        on, m_on = _session_outputs(graph, "next-round", **session_kwargs)
-        assert off == on
-        assert m_on.value("generation.speculative_sets") > 0
-        assert m_off.value("coverage.sketch_escalations") == m_on.value(
-            "coverage.sketch_escalations"
-        )
-
-
 class TestInterrupts:
     @pytest.mark.parametrize("shards", [None, 2])
     def test_mid_run_cancel_yields_clean_partial(self, graph, shards):
-        session = QuerySession(
-            graph, "subsim", seed=7, shards=shards, prefetch="next-round"
-        )
-        try:
+        with QuerySession(graph, "subsim", seed=7, shards=shards) as session:
             token = CancellationToken()
             trigger = FaultInjector(
                 at_rr_set=150,
                 mode="delay",
-                sleep=lambda _s: token.cancel("triggered"),
+                sleep=lambda _seconds: token.cancel("triggered"),
             )
             first = session.maximize(
                 K, eps=EPS, cancel=token, fault_injector=trigger
@@ -227,86 +42,12 @@ class TestInterrupts:
             assert first.status == "partial"
             assert first.stop_reason == "cancelled"
             assert first.num_rr_sets > 0
-            # The banks came out of the interrupt consistent: the next
-            # query completes and matches a never-interrupted session.
+            assert not partial_certificate(first).complete
             second = session.maximize(K, eps=EPS)
-        finally:
-            session.close()
-        reference = QuerySession(
-            graph, "subsim", seed=7, shards=shards, prefetch="next-round"
-        )
-        try:
+        with QuerySession(
+            graph, "subsim", seed=7, shards=shards
+        ) as reference:
             clean = reference.maximize(K, eps=EPS)
-        finally:
-            reference.close()
         assert second.status == "complete"
         assert second.seeds == clean.seeds
-
-    def test_abort_in_flight_speculation(self, graph):
-        """An external cancel (the serving-deadline shape) that lands at
-        the sync point with speculations still in flight: the pipeline
-        aborts them, dirty-marks the sharded reusable banks, and eviction
-        restores determinism for the next query."""
-        from repro.rrsets.subsim import SubsimICGenerator
-        from repro.runtime.control import RunControl
-
-        session = QuerySession(
-            graph, "subsim", seed=7, shards=2, prefetch="next-round"
-        )
-        try:
-            provider = session.provider
-            provider.begin_query(None)
-            bank1 = provider.get(
-                "opimc.r1", lambda: SubsimICGenerator(graph)
-            )
-            bank2 = provider.get(
-                "opimc.r2", lambda: SubsimICGenerator(graph)
-            )
-            bank1.ensure(64)
-            bank2.ensure(64)
-            controller = PrefetchController(metrics=session.metrics)
-            assert controller.launch(bank1, bank2, 128)
-            token = CancellationToken()
-            token.cancel("deadline")
-            bank1.generator.control = RunControl(token=token)
-            with pytest.raises(CancelledError):
-                controller.land(bank1, bank2, 128)
-            assert len(controller._pending) == 2
-            controller.finish(interrupted=True)
-            bank1.generator.control = None
-            assert session.metrics.value(
-                "generation.speculation_cancelled"
-            ) == 2
-            assert bank1._dirty and bank2._dirty
-            provider.end_query()
-            assert session.metrics.value("bank.evictions") >= 2
-            second = session.maximize(K, eps=EPS)
-        finally:
-            session.close()
-        reference = QuerySession(graph, "subsim", seed=7, shards=2)
-        try:
-            clean = reference.maximize(K, eps=EPS)
-        finally:
-            reference.close()
-        assert second.seeds == clean.seeds
-
-
-class TestBanksIndependent:
-    def test_shared_rng_dependent(self, graph):
-        import numpy as np
-
-        class FakeBank:
-            def __init__(self, rng):
-                self.rng = rng
-
-        rng = np.random.default_rng(0)
-        assert not banks_independent(FakeBank(rng), FakeBank(rng))
-        assert banks_independent(
-            FakeBank(np.random.default_rng(0)), FakeBank(np.random.default_rng(1))
-        )
-
-    def test_rngless_bank_independent(self):
-        class Sharded:
-            pass
-
-        assert banks_independent(Sharded(), Sharded())
+        assert second.num_rr_sets == clean.num_rr_sets

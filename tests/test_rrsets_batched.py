@@ -12,9 +12,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.engine.shards import shard_counts
 from repro.rrsets.collection import RRCollection
-from repro.rrsets.fanout import generate_multiprocess, shard_counts
-from repro.rrsets.fast_vanilla import FastVanillaICGenerator
 from repro.rrsets.subsim import SubsimICGenerator
 from repro.rrsets.vanilla import VanillaICGenerator
 from repro.runtime.control import RunControl
@@ -24,13 +23,12 @@ from repro.utils.exceptions import ConfigurationError, ExecutionInterrupted
 
 scipy_stats = pytest.importorskip("scipy.stats")
 
-GENERATORS = [VanillaICGenerator, FastVanillaICGenerator, SubsimICGenerator]
+GENERATORS = [VanillaICGenerator, SubsimICGenerator]
 
 
-def _sizes(graph, cls, count, seed, batch_size=1, workers=1, stop_mask=None):
+def _sizes(graph, cls, count, seed, batch_size=1, stop_mask=None):
     gen = cls(graph)
     gen.batch_size = batch_size
-    gen.workers = workers
     pool = RRCollection(graph.n)
     pool.extend(count, gen, np.random.default_rng(seed), stop_mask=stop_mask)
     return pool, gen
@@ -107,34 +105,6 @@ class TestDeterminism:
         assert g1.counters.edges_examined == g2.counters.edges_examined
         assert g1.counters.rng_draws == g2.counters.rng_draws
 
-    def test_multiprocess_run_to_run_identical(self, wc_graph):
-        p1, g1 = _sizes(wc_graph, VanillaICGenerator, 200, seed=33,
-                        batch_size=32, workers=2)
-        p2, g2 = _sizes(wc_graph, VanillaICGenerator, 200, seed=33,
-                        batch_size=32, workers=2)
-        assert np.array_equal(p1.rr_nodes, p2.rr_nodes)
-        assert np.array_equal(p1.set_sizes(), p2.set_sizes())
-        assert g1.counters.edges_examined == g2.counters.edges_examined
-        assert g1.counters.rng_draws == g2.counters.rng_draws
-
-    def test_worker_count_changes_sample(self, wc_graph):
-        p2, _ = _sizes(wc_graph, VanillaICGenerator, 200, seed=33,
-                       batch_size=32, workers=2)
-        p4, _ = _sizes(wc_graph, VanillaICGenerator, 200, seed=33,
-                       batch_size=32, workers=4)
-        assert not np.array_equal(p2.rr_nodes, p4.rr_nodes)
-
-    def test_small_fanout_degrades_deterministically(self, wc_graph):
-        # Below MIN_SETS_PER_WORKER * workers the fan-out stays in-process
-        # but must still derive the worker stream the same way.
-        gen = VanillaICGenerator(wc_graph)
-        gen.batch_size = 8
-        a = generate_multiprocess(gen, 6, np.random.default_rng(2), workers=4)
-        gen2 = VanillaICGenerator(wc_graph)
-        gen2.batch_size = 8
-        b = generate_multiprocess(gen2, 6, np.random.default_rng(2), workers=4)
-        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-
     def test_shard_counts_cover_exactly(self):
         for count in (1, 7, 16, 100):
             for workers in (1, 2, 3, 8):
@@ -153,16 +123,6 @@ class TestControlIntegration:
             pool.extend(500, gen, np.random.default_rng(1))
         assert pool.num_rr == 100
         assert gen.counters.sets_generated == 100
-
-    def test_budget_respected_across_fanout(self, wc_graph):
-        gen = VanillaICGenerator(wc_graph)
-        gen.batch_size = 32
-        gen.workers = 2
-        gen.control = RunControl(budget=Budget(max_rr_sets=80))
-        pool = RRCollection(wc_graph.n)
-        with pytest.raises(ExecutionInterrupted):
-            pool.extend(500, gen, np.random.default_rng(1))
-        assert pool.num_rr == 80
 
     def test_cancellation_checked_between_batches(self, wc_graph):
         token = CancellationToken()
@@ -189,32 +149,19 @@ class TestControlIntegration:
 
 
 class TestRunAPIValidation:
-    def test_resume_with_workers_rejected(self, wc_graph, tmp_path):
-        from repro.algorithms.opimc import OPIMC
-
-        algo = OPIMC(wc_graph, generator_cls=SubsimICGenerator)
-        with pytest.raises(ConfigurationError, match="workers"):
-            algo.run(
-                3, eps=0.4, seed=0,
-                checkpoint=str(tmp_path / "c.npz"),
-                resume=True, workers=2,
-            )
-
     def test_bad_knobs_rejected(self, wc_graph):
         from repro.algorithms.opimc import OPIMC
 
         algo = OPIMC(wc_graph, generator_cls=SubsimICGenerator)
         with pytest.raises(ConfigurationError):
             algo.run(3, eps=0.4, seed=0, batch_size=0)
-        with pytest.raises(ConfigurationError):
-            algo.run(3, eps=0.4, seed=0, workers=0)
 
     def test_knobs_reset_after_run(self, wc_graph):
         from repro.algorithms.opimc import OPIMC
 
         algo = OPIMC(wc_graph, generator_cls=SubsimICGenerator)
-        algo.run(3, eps=0.4, seed=0, batch_size=64, workers=1)
-        assert algo._batch_size == 1 and algo._workers == 1
+        algo.run(3, eps=0.4, seed=0, batch_size=64)
+        assert algo._batch_size == 1
 
 
 class TestAlgorithmsUnderBatching:
@@ -254,25 +201,3 @@ class TestAlgorithmsUnderBatching:
         for i, rr in enumerate(expected):
             assert np.array_equal(pool.set_nodes(i), rr)
         assert gen.counters.rng_draws == gen2.counters.rng_draws
-
-
-class TestFanoutDegradeCounter:
-    def test_degradation_increments_counter(self, wc_graph):
-        # Too little work for 4 workers: the fan-out stays in-process and
-        # must say so in the metrics (generation.fanout_degraded).
-        from repro.observability import MetricsRegistry
-
-        gen = VanillaICGenerator(wc_graph)
-        gen.batch_size = 8
-        gen.metrics = MetricsRegistry()
-        generate_multiprocess(gen, 6, np.random.default_rng(2), workers=4)
-        assert gen.metrics.value("generation.fanout_degraded") == 1
-
-    def test_real_fanout_does_not_count(self, wc_graph):
-        from repro.observability import MetricsRegistry
-
-        gen = VanillaICGenerator(wc_graph)
-        gen.batch_size = 8
-        gen.metrics = MetricsRegistry()
-        generate_multiprocess(gen, 200, np.random.default_rng(2), workers=2)
-        assert gen.metrics.value("generation.fanout_degraded") == 0

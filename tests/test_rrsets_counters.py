@@ -11,7 +11,6 @@ import pytest
 from repro.graphs.csr import build_graph
 from repro.graphs.generators import path_graph, star_graph
 from repro.graphs.weights import uniform_weights, wc_weights
-from repro.rrsets.fast_vanilla import FastVanillaICGenerator
 from repro.rrsets.subsim import SubsimICGenerator
 from repro.rrsets.vanilla import VanillaICGenerator
 
@@ -77,7 +76,7 @@ class TestSubsimAccounting:
 
 class TestSentinelHitAccounting:
     @pytest.mark.parametrize(
-        "gen_cls", [VanillaICGenerator, SubsimICGenerator, FastVanillaICGenerator]
+        "gen_cls", [VanillaICGenerator, SubsimICGenerator]
     )
     def test_hits_counted_per_generation(self, gen_cls, path10, rng):
         gen = gen_cls(path10)

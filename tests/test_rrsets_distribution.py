@@ -22,7 +22,6 @@ from repro.graphs.weights import (
     wc_variant_weights,
     wc_weights,
 )
-from repro.rrsets.fast_vanilla import FastVanillaICGenerator
 from repro.rrsets.subsim import SubsimICGenerator
 from repro.rrsets.vanilla import VanillaICGenerator
 
@@ -73,12 +72,6 @@ class TestLemma1Singletons:
         f_vanilla = appearance_frequencies(graph, VanillaICGenerator, 25_000, 3)
         f_subsim = appearance_frequencies(graph, SubsimICGenerator, 25_000, 4)
         assert np.max(np.abs(f_vanilla - f_subsim)) < 0.02, scheme
-
-    def test_fast_vanilla_matches_too(self, base):
-        graph = wc_weights(base)
-        f_vanilla = appearance_frequencies(graph, VanillaICGenerator, 25_000, 3)
-        f_fast = appearance_frequencies(graph, FastVanillaICGenerator, 25_000, 5)
-        assert np.max(np.abs(f_vanilla - f_fast)) < 0.02
 
 
 class TestSizeDistributionQuantiles:

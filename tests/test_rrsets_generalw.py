@@ -42,11 +42,9 @@ def lt_graph(pa_graph):
     return lt_normalized_weights(wc_weights(pa_graph))
 
 
-def _sizes(graph, cls, count, seed, batch_size=1, workers=1, stop_mask=None,
-           **kwargs):
+def _sizes(graph, cls, count, seed, batch_size=1, stop_mask=None, **kwargs):
     gen = cls(graph, **kwargs)
     gen.batch_size = batch_size
-    gen.workers = workers
     pool = RRCollection(graph.n)
     pool.extend(count, gen, np.random.default_rng(seed), stop_mask=stop_mask)
     return pool, gen
@@ -186,21 +184,6 @@ class TestDeterminism:
         assert np.array_equal(p1.set_sizes(), p2.set_sizes())
         assert g1.counters.edges_examined == g2.counters.edges_examined
         assert g1.counters.rng_draws == g2.counters.rng_draws
-
-    def test_lt_multiprocess_run_to_run_identical(self, lt_graph):
-        p1, g1 = _sizes(lt_graph, LTGenerator, 200, seed=33,
-                        batch_size=32, workers=2)
-        p2, g2 = _sizes(lt_graph, LTGenerator, 200, seed=33,
-                        batch_size=32, workers=2)
-        assert np.array_equal(p1.rr_nodes, p2.rr_nodes)
-        assert g1.counters.rng_draws == g2.counters.rng_draws
-
-    def test_skewed_multiprocess_run_to_run_identical(self, skewed_graph):
-        p1, _ = _sizes(skewed_graph, SubsimICGenerator, 200, seed=33,
-                       batch_size=32, workers=2)
-        p2, _ = _sizes(skewed_graph, SubsimICGenerator, 200, seed=33,
-                       batch_size=32, workers=2)
-        assert np.array_equal(p1.rr_nodes, p2.rr_nodes)
 
 
 class TestControlIntegration:

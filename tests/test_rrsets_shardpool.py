@@ -15,8 +15,8 @@ import pytest
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.weights import wc_weights
 from repro.observability import MetricsRegistry
+from repro.engine.shards import shard_counts
 from repro.rrsets.collection import RRCollection
-from repro.rrsets.fanout import shard_counts
 from repro.rrsets.shardpool import ShardPool, ShardPoolError
 from repro.rrsets.subsim import SubsimICGenerator
 
@@ -278,109 +278,6 @@ class TestDynamicDeltas:
             assert _fingerprint(pool, graph, "r", counts) == before
 
 
-def _generate_async(pool, role="r", count=120, req=0, batch_size=16):
-    """Async twin of :func:`_generate`; returns (pending, counts)."""
-    counts = shard_counts(count, pool.shards)
-    seeds = [
-        np.random.SeedSequence(99, spawn_key=(1, rank, req))
-        for rank in range(pool.shards)
-    ]
-    pending = pool.generate_async(
-        role,
-        counts,
-        seeds,
-        generator_cls=SubsimICGenerator,
-        batched_mode=None,
-        batch_size=batch_size,
-    )
-    return pending, counts
-
-
-class TestAsyncGenerate:
-    """generate_async: pipelined issue, interleaving, cancel, recovery."""
-
-    def test_async_matches_sync(self, graph):
-        with ShardPool(graph, 2) as pool:
-            counts = _generate(pool, req=0)
-            sync = _fingerprint(pool, graph, "r", counts)
-        with ShardPool(graph, 2) as pool:
-            pending, counts = _generate_async(pool, req=0)
-            replies = pending.collect()
-            assert [len(r["sizes"]) for r in replies] == counts
-            assert [r.get("delivered") for r in replies] == counts
-            assert sync == _fingerprint(pool, graph, "r", counts)
-
-    def test_interleaved_commands_see_old_prefix(self, graph):
-        with ShardPool(graph, 2) as pool:
-            c0 = _generate(pool, req=0)
-            before = _fingerprint(pool, graph, "r", c0)
-            pending, c1 = _generate_async(pool, req=1, batch_size=4)
-            # Served between generation chunks: stats and reads of the
-            # *pre-request* prefix, without waiting for the generate.
-            stats = pool.stats()
-            assert all("r" in s for s in stats)
-            assert _fingerprint(pool, graph, "r", c0) == before
-            replies = pending.collect()
-            total = sum(len(r["sizes"]) for r in replies)
-            assert total == sum(c1)
-
-    def test_cancel_truncates_at_chunk_boundary(self, graph):
-        with ShardPool(graph, 2) as pool:
-            pending, counts = _generate_async(
-                pool, req=0, count=400, batch_size=8
-            )
-            pending.cancel()
-            replies = pending.collect()
-            delivered = [int(r["delivered"]) for r in replies]
-            assert all(
-                0 <= d <= c for d, c in zip(delivered, counts)
-            )
-            stats = pool.stats()
-            assert [s["r"]["num_rr"] for s in stats] == delivered
-
-    def test_cancelled_request_replays_bit_identically(self, graph):
-        # The journal entry of a cancelled partial is truncated to the
-        # delivered count; a crashed worker replaying it must regenerate
-        # the identical chunk prefix.
-        with ShardPool(graph, 2) as pool:
-            pending, _ = _generate_async(
-                pool, req=0, count=400, batch_size=8
-            )
-            pending.cancel()
-            replies = pending.collect()
-            delivered = [int(r["delivered"]) for r in replies]
-            before = _fingerprint(pool, graph, "r", delivered)
-            pool.crash_next_generate(0)
-            c1 = _generate(pool, role="other", req=1)
-            assert sum(c1) > 0
-            assert _fingerprint(pool, graph, "r", delivered) == before
-
-    def test_cancel_after_collect_is_noop(self, graph):
-        with ShardPool(graph, 2) as pool:
-            pending, counts = _generate_async(pool, req=0, count=40)
-            replies = pending.collect()
-            pending.cancel()
-            assert pending.collect() is replies
-            assert [int(r["delivered"]) for r in replies] == counts
-
-    def test_crash_during_async_recovers(self, graph):
-        with ShardPool(graph, 2) as pool:
-            c0 = _generate(pool, req=0)
-            c1 = _generate(pool, req=1)
-            limits = [a + b for a, b in zip(c0, c1)]
-            clean = _fingerprint(pool, graph, "r", limits)
-        metrics = MetricsRegistry()
-        with ShardPool(graph, 2, metrics=metrics) as pool:
-            c0 = _generate(pool, req=0)
-            pool.crash_next_generate(1)
-            pending, c1 = _generate_async(pool, req=1)
-            replies = pending.collect()
-            assert [len(r["sizes"]) for r in replies] == c1
-            limits = [a + b for a, b in zip(c0, c1)]
-            assert clean == _fingerprint(pool, graph, "r", limits)
-        assert metrics.value("shardpool.worker_crashes") == 1
-
-
 class TestJournalCompaction:
     """Checkpoint-covered journal prefixes are trimmed; recovery holds."""
 
@@ -400,6 +297,19 @@ class TestJournalCompaction:
             assert metrics.value("shardpool.journal_compactions") > 0
             assert max(pool.journal_lengths()) < 5
             assert min(pool.checkpoint_seqs()) > 0
+
+    def test_compaction_every_request_keeps_totals(self, graph, tmp_path):
+        # Threshold 1 compacts after every journaled request, right after
+        # its reply was collected; the resident pools must not notice.
+        metrics = MetricsRegistry()
+        with ShardPool(
+            graph, 2, spill_dir=str(tmp_path), checkpoint_every=1,
+            metrics=metrics, journal_compact_threshold=1,
+        ) as pool:
+            limits = self._fill(pool, requests=3)
+            assert metrics.value("shardpool.journal_compactions") > 0
+            stats = pool.stats()
+            assert [s["r"]["num_rr"] for s in stats] == limits
 
     def test_no_compaction_without_checkpoints(self, graph):
         metrics = MetricsRegistry()
@@ -434,19 +344,3 @@ class TestJournalCompaction:
     def _limits_after(self, pool, requests, count=40):
         counts = [shard_counts(count, pool.shards) for _ in range(requests)]
         return [sum(c) for c in zip(*counts)]
-
-    def test_compaction_during_async_collect(self, graph, tmp_path):
-        metrics = MetricsRegistry()
-        with ShardPool(
-            graph, 2, spill_dir=str(tmp_path), checkpoint_every=1,
-            metrics=metrics, journal_compact_threshold=1,
-        ) as pool:
-            total = [0, 0]
-            for req in range(3):
-                pending, counts = _generate_async(pool, req=req, count=40)
-                replies = pending.collect()
-                assert [len(r["sizes"]) for r in replies] == counts
-                total = [a + b for a, b in zip(total, counts)]
-            assert metrics.value("shardpool.journal_compactions") > 0
-            stats = pool.stats()
-            assert [s["r"]["num_rr"] for s in stats] == total

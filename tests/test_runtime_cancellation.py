@@ -82,3 +82,4 @@ class TestCancelledRuns:
         )
         assert result.status == "partial"
         assert result.seeds == []
+
