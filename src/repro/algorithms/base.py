@@ -59,11 +59,6 @@ class IMAlgorithm:
     #: set False for algorithms incompatible with the sharded worker
     #: runtime (cursor-style ``take()`` consumers, non-RR heuristics)
     supports_shards = True
-    #: set False for algorithms whose selection shape the sketch coverage
-    #: backend cannot serve (sentinel masks, excluded-node greedy — HIST);
-    #: an explicit ``coverage_backend="sketch"`` is then rejected and
-    #: session-level ``"sketch"``/``"auto"`` defaults degrade to exact
-    supports_sketch_coverage = True
 
     def __init__(
         self,
@@ -79,8 +74,6 @@ class IMAlgorithm:
         self._resume_state = None
         self._batch_size = 1
         self._batched_mode: Optional[str] = None
-        self._coverage_spec = None
-        self._coverage_used = None
 
     # ------------------------------------------------------------------
     def run(
@@ -103,7 +96,6 @@ class IMAlgorithm:
         banks: Optional[BankProvider] = None,
         shards: Union[None, int, "ShardPool"] = None,
         spill_dir: Optional[str] = None,
-        coverage_backend: Optional[str] = None,
     ) -> IMResult:
         """Select ``k`` seeds with a ``(1 - 1/e - eps)`` guarantee w.p. ``1 - delta``.
 
@@ -157,18 +149,6 @@ class IMAlgorithm:
           *sessions* are built through ``QuerySession(shards=...)``).
         * ``spill_dir`` — directory for worker pool spill and crash-recovery
           checkpoints (only with an integer ``shards``).
-        * ``coverage_backend`` — how seed selection reads the RR pool:
-          ``"exact"`` (the default; inverted-CSR exact marginal gains,
-          bit-identical to the historical path), ``"sketch"`` (per-node
-          HyperLogLog coverage sketches with an error-adaptive precision
-          ladder — the inverted index never materializes, trading a
-          certified approximation band for a much smaller resident
-          footprint at huge theta), or ``"auto"`` (sketch only when the
-          expected pool size clears
-          :data:`~repro.coverage.backend.AUTO_SKETCH_THETA`).  ``None``
-          inherits the session provider's default (``"exact"`` outside a
-          session).  A sketch-mode run records its approximation
-          certificate in ``result.extras["coverage_backend"]``.
         """
         n = self.graph.n
         if not 1 <= k <= n:
@@ -201,32 +181,6 @@ class IMAlgorithm:
                 raise ConfigurationError(
                     f"generator {self.generator_cls.__name__} supports "
                     f"batched modes {offered}, not {batched_mode!r}"
-                )
-        if coverage_backend is not None:
-            from repro.coverage.backend import COVERAGE_BACKENDS
-
-            if coverage_backend not in COVERAGE_BACKENDS:
-                raise ConfigurationError(
-                    f"coverage_backend must be one of "
-                    f"{', '.join(repr(b) for b in COVERAGE_BACKENDS)}, "
-                    f"got {coverage_backend!r}"
-                )
-            if (
-                coverage_backend == "sketch"
-                and not self.supports_sketch_coverage
-            ):
-                raise ConfigurationError(
-                    f"{self.name} requires exact per-set coverage "
-                    "(sentinel masks / excluded-node selection) and cannot "
-                    "run with coverage_backend='sketch'"
-                )
-            if coverage_backend == "sketch" and (
-                checkpoint is not None or resume
-            ):
-                raise ConfigurationError(
-                    "coverage_backend='sketch' cannot be combined with "
-                    "checkpoint/resume: the precision ladder's state is "
-                    "not part of round checkpoints"
                 )
         store = coerce_store(checkpoint, every=checkpoint_every)
         if banks is not None and (store is not None or resume):
@@ -271,8 +225,6 @@ class IMAlgorithm:
         self._resume_state = None
         self._batch_size = int(batch_size)
         self._batched_mode = batched_mode
-        self._coverage_spec = coverage_backend
-        self._coverage_used = None
         if resume and store.exists():
             meta, pools = store.load()
             self._validate_resume(meta, k, eps, delta)
@@ -331,21 +283,7 @@ class IMAlgorithm:
             self._control = None
             self._batch_size = 1
             self._batched_mode = None
-            self._coverage_spec = None
         result.runtime_seconds = time.perf_counter() - begin
-        if (
-            self._coverage_used is not None
-            and self._coverage_used.name != "exact"
-        ):
-            # Only non-exact backends leave a trace in the result: the
-            # certificate feeds report.canonical(), and the exact default
-            # must stay bit-identical to the historical output.  (Keyed
-            # "coverage_backend", not "coverage" — IMM already reports its
-            # greedy coverage count under that name.)
-            result.extras.setdefault(
-                "coverage_backend", self._coverage_used.certificate()
-            )
-        self._coverage_used = None
         if control.active or control.checkpoint is not None:
             result.extras.setdefault("runtime", control.snapshot())
         if metrics is not None:
@@ -402,29 +340,6 @@ class IMAlgorithm:
     def _metrics(self) -> Optional[MetricsRegistry]:
         """The run's registry, or ``None`` outside ``run()``."""
         return self._control.metrics if self._control is not None else None
-
-    def _coverage_backend(self, theta_hint: Optional[int] = None):
-        """Resolve this run's coverage backend (see :mod:`repro.coverage`).
-
-        The run-level ``coverage_backend`` argument wins; absent that, a
-        session bank provider may carry a default; absent both, exact.
-        ``theta_hint`` (the worst-case pool size, known before sampling)
-        drives the ``"auto"`` tier choice.  The resolved backend is
-        remembered so ``run()`` can attach its certificate to the result.
-        """
-        from repro.coverage.backend import resolve_backend
-
-        spec = self._coverage_spec
-        if spec is None and self._banks is not None:
-            spec = getattr(self._banks, "coverage_backend", None)
-        backend = resolve_backend(
-            spec,
-            theta_hint=theta_hint,
-            allow_sketch=self.supports_sketch_coverage,
-            metrics=self._metrics,
-        )
-        self._coverage_used = backend
-        return backend
 
     @property
     def _has_checkpoint(self) -> bool:

@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.algorithms.base import IMAlgorithm
 from repro.core.results import IMResult
+from repro.coverage.greedy import max_coverage_greedy
 from repro.engine.schedule import fallback_seeds
 from repro.graphs.csr import CSRGraph
 from repro.rrsets.base import RRGenerator
@@ -60,7 +61,6 @@ class BorgsRIS(IMAlgorithm):
         self, k: int, eps: float, delta: float, rng: np.random.Generator
     ) -> IMResult:
         bank = self._bank("borgs.pool")
-        backend = self._coverage_backend(theta_hint=self.max_rr_sets)
         budget = self.edge_budget(k, eps)
         faithful_budget = self.edge_budget(k, eps) / self.scale_tau
 
@@ -84,9 +84,7 @@ class BorgsRIS(IMAlgorithm):
                     break
         except ExecutionInterrupted as exc:
             view = bank.view(idx)
-            seeds = fallback_seeds(
-                view if view.num_rr else None, k, backend=backend
-            )
+            seeds = fallback_seeds(view if view.num_rr else None, k)
             return self._partial_result(
                 seeds, k, eps, delta,
                 generators=(bank,),
@@ -94,7 +92,7 @@ class BorgsRIS(IMAlgorithm):
                 edge_budget=budget,
             )
 
-        greedy = backend.max_coverage(
+        greedy = max_coverage_greedy(
             bank.view(idx), select=k, track_upper_bound=False
         )
         return self._result_from(

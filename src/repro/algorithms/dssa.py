@@ -27,6 +27,7 @@ import numpy as np
 from repro.algorithms.base import IMAlgorithm
 from repro.bounds.thresholds import theta_max_opimc
 from repro.core.results import IMResult
+from repro.coverage.greedy import max_coverage_greedy
 from repro.engine.schedule import fallback_seeds
 from repro.utils.exceptions import ExecutionInterrupted
 
@@ -53,7 +54,6 @@ class DSSA(IMAlgorithm):
 
         bank1 = self._bank("dssa.r1")
         bank2 = self._bank("dssa.r2")
-        backend = self._coverage_backend(theta_hint=theta_cap)
 
         theta = max(1, int(math.ceil(lambda_min)))
         theta = min(theta, theta_cap)
@@ -67,12 +67,12 @@ class DSSA(IMAlgorithm):
                 view1 = bank1.ensure(theta)
                 view2 = bank2.ensure(theta)
                 served = view1.num_rr
-                greedy = backend.max_coverage(
+                greedy = max_coverage_greedy(
                     view1, select=k, track_upper_bound=False
                 )
                 seeds = greedy.seeds
                 cov1 = greedy.coverage
-                cov2 = backend.coverage(view2, seeds)
+                cov2 = view2.coverage(seeds)
                 if cov2 >= lambda_min and cov2 > 0:
                     if cov1 / cov2 <= 1.0 + eps_agree:
                         agreed = True
@@ -83,9 +83,7 @@ class DSSA(IMAlgorithm):
         except ExecutionInterrupted as exc:
             if not seeds:
                 pool = bank1.pool
-                seeds = fallback_seeds(
-                    pool if pool.num_rr else None, k, backend=backend
-                )
+                seeds = fallback_seeds(pool if pool.num_rr else None, k)
             return self._partial_result(
                 seeds, k, eps, delta,
                 generators=(bank1, bank2),

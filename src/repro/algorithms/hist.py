@@ -495,12 +495,6 @@ class HIST(IMAlgorithm):
     """
 
     name = "hist"
-    #: HIST's phases lean on exact per-set structures the sketch rows
-    #: cannot serve — sentinel masks (``initial_covered``), excluded-node
-    #: greedy, and per-set membership scans — so an explicit
-    #: ``coverage_backend="sketch"`` is rejected and session-level
-    #: ``"sketch"``/``"auto"`` defaults degrade to the exact tier.
-    supports_sketch_coverage = False
 
     def __init__(
         self,

@@ -25,6 +25,7 @@ import numpy as np
 from repro.algorithms.base import IMAlgorithm
 from repro.bounds.thresholds import imm_lambda_prime, imm_lambda_star
 from repro.core.results import IMResult
+from repro.coverage.greedy import max_coverage_greedy
 from repro.engine.schedule import fallback_seeds
 from repro.graphs.csr import CSRGraph
 from repro.rrsets.base import RRGenerator
@@ -62,10 +63,6 @@ class IMM(IMAlgorithm):
         # Both phases share one pool — the martingale analysis allows it —
         # so IMM is a single bank whose prefix both phases select over.
         bank = self._bank("imm.pool")
-        # Worst case is phase 2 at LB = 1 (lambda* sets), capped.
-        backend = self._coverage_backend(
-            theta_hint=self._cap(int(math.ceil(lam_star)))
-        )
 
         # Phase 1: estimate LB <= OPT_k by doubling guesses downward.
         lower_bound = 1.0
@@ -80,7 +77,7 @@ class IMM(IMAlgorithm):
                 capped = capped or theta_i == self.max_rr_sets
                 theta_p1 = max(theta_p1, theta_i)
                 view = bank.ensure(theta_i)
-                greedy = backend.max_coverage(
+                greedy = max_coverage_greedy(
                     view, select=k, track_upper_bound=False
                 )
                 last_greedy = greedy
@@ -97,7 +94,7 @@ class IMM(IMAlgorithm):
             theta = self._cap(int(math.ceil(lam_star / lower_bound)))
             capped = capped or theta == self.max_rr_sets
             view = bank.ensure(max(theta, theta_p1))
-            greedy = backend.max_coverage(
+            greedy = max_coverage_greedy(
                 view, select=k, track_upper_bound=False
             )
             last_greedy = greedy
@@ -105,7 +102,7 @@ class IMM(IMAlgorithm):
             # Degrade to the last completed greedy pass instead of rerunning
             # it over the interrupted pool.
             pool = bank.pool if bank.pool.num_rr else None
-            seeds = fallback_seeds(pool, k, last=last_greedy, backend=backend)
+            seeds = fallback_seeds(pool, k, last=last_greedy)
             return self._partial_result(
                 seeds, k, eps, delta,
                 generators=(bank,),

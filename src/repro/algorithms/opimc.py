@@ -22,13 +22,10 @@ from typing import Type
 import numpy as np
 
 from repro.algorithms.base import IMAlgorithm
-from repro.bounds.opim import (
-    influence_lower_bound,
-    influence_upper_bound,
-    sketch_gap_overlap,
-)
+from repro.bounds.opim import influence_lower_bound, influence_upper_bound
 from repro.bounds.thresholds import theta_max_opimc
 from repro.core.results import IMResult
+from repro.coverage.greedy import max_coverage_greedy
 from repro.engine.schedule import (
     DoublingResume,
     SamplingSchedule,
@@ -68,7 +65,6 @@ class OPIMC(IMAlgorithm):
         bank1 = self._bank("opimc.r1")
         bank2 = self._bank("opimc.r2")
         schedule = SamplingSchedule(theta0, max(theta0, theta_max), i_max)
-        backend = self._coverage_backend(theta_hint=theta_max)
 
         resume = None
         resumed = self._take_resume_state()
@@ -85,47 +81,18 @@ class OPIMC(IMAlgorithm):
             )
 
         def select(pool):
-            greedy = backend.max_coverage(
+            greedy = max_coverage_greedy(
                 pool, select=k, topk=k, metrics=self._metrics
             )
-            # Under a sketch backend the coverage upper bound is an
-            # estimate; inflating it by the certified relative error keeps
-            # Eq. 2 a true high-probability bound (exact backend: identity).
             upper = influence_upper_bound(
-                backend.certified_upper_coverage(
-                    greedy.upper_bound_coverage, pool.num_rr
-                ),
-                pool.num_rr,
-                n,
-                delta_iter,
+                greedy.upper_bound_coverage, pool.num_rr, n, delta_iter
             )
             return greedy.seeds, upper
 
         def validate(pool, seeds):
             return influence_lower_bound(
-                backend.coverage(pool, seeds), pool.num_rr, n, delta_iter
+                pool.coverage(seeds), pool.num_rr, n, delta_iter
             )
-
-        refine = None
-        if backend.name == "sketch":
-
-            def refine(i, theta, seeds, lower, upper):
-                # Error-adaptive ladder: buy registers only when the sketch
-                # band (not the sample size) straddles the stopping rule.
-                if not backend.can_escalate():
-                    return False
-                if not sketch_gap_overlap(
-                    lower,
-                    backend.last_upper_coverage,
-                    theta,
-                    n,
-                    delta_iter,
-                    target,
-                    backend.epsilon_sketch,
-                ):
-                    return False
-                backend.escalate(metrics=self._metrics)
-                return True
 
         def checkpointer(i, seeds, lower, upper):
             meta = self._query_meta(k, eps, delta)
@@ -154,14 +121,12 @@ class OPIMC(IMAlgorithm):
             # Only a run with an attached store gets the checkpointer.
             checkpointer=checkpointer if self._has_checkpoint else None,
             phase=self._phase,
-            refine=refine,
         )
         if outcome.interrupted:
             return self._finalize_partial(
                 bank1.pool, k, eps, delta, (bank1, bank2),
                 outcome.stop_reason, outcome.rounds, theta_max,
                 outcome.lower, outcome.upper, seeds=outcome.seeds,
-                backend=backend,
             )
 
         result = self._result_from(
@@ -179,11 +144,11 @@ class OPIMC(IMAlgorithm):
 
     def _finalize_partial(
         self, pool1, k, eps, delta, generators, reason,
-        rounds, theta_max, lower, upper, seeds=None, backend=None,
+        rounds, theta_max, lower, upper, seeds=None,
     ) -> IMResult:
         """Best-so-far degradation: greedy over whatever pool1 holds."""
         if not seeds:
-            seeds = fallback_seeds(pool1, k, backend=backend, topk=k)
+            seeds = fallback_seeds(pool1, k, topk=k)
         result = self._partial_result(
             seeds or [], k, eps, delta,
             generators=generators,

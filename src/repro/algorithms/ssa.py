@@ -24,6 +24,7 @@ import numpy as np
 from repro.algorithms.base import IMAlgorithm
 from repro.bounds.thresholds import theta_max_opimc
 from repro.core.results import IMResult
+from repro.coverage.greedy import max_coverage_greedy
 from repro.engine.schedule import fallback_seeds
 from repro.utils.exceptions import ExecutionInterrupted
 
@@ -52,7 +53,6 @@ class SSA(IMAlgorithm):
 
         bank_sel = self._bank("ssa.select")
         bank_val = self._bank("ssa.validate")
-        backend = self._coverage_backend(theta_hint=theta_cap)
         theta = max(1, int(math.ceil(lambda1)))
         theta = min(theta, theta_cap)
 
@@ -66,7 +66,7 @@ class SSA(IMAlgorithm):
                 rounds += 1
                 view = bank_sel.ensure(theta)
                 served = view.num_rr
-                greedy = backend.max_coverage(
+                greedy = max_coverage_greedy(
                     view, select=k, track_upper_bound=False
                 )
                 seeds = greedy.seeds
@@ -86,9 +86,7 @@ class SSA(IMAlgorithm):
         except ExecutionInterrupted as exc:
             if not seeds:
                 pool = bank_sel.pool
-                seeds = fallback_seeds(
-                    pool if pool.num_rr else None, k, backend=backend
-                )
+                seeds = fallback_seeds(pool if pool.num_rr else None, k)
             return self._partial_result(
                 seeds, k, eps, delta,
                 generators=(bank_sel, bank_val),

@@ -25,6 +25,7 @@ import numpy as np
 from repro.algorithms.base import IMAlgorithm
 from repro.bounds.combinatorics import log_binomial
 from repro.core.results import IMResult
+from repro.coverage.greedy import max_coverage_greedy
 from repro.engine.schedule import fallback_seeds
 from repro.graphs.csr import CSRGraph
 from repro.rrsets.base import RRGenerator
@@ -66,7 +67,6 @@ class TIMPlus(IMAlgorithm):
         bank_check = self._bank("tim.check")
         bank_final = self._bank("tim.final")
         generators = (bank_est, bank_refine, bank_check, bank_final)
-        backend = self._coverage_backend(theta_hint=self.max_rr_sets)
 
         # ``last_bank`` tracks the most recent selection-worthy pool so an
         # interrupt anywhere still yields best-so-far seeds.
@@ -111,11 +111,11 @@ class TIMPlus(IMAlgorithm):
             theta_refine = self._cap(max(1, int(math.ceil(lam_prime / kpt_star))))
             last_bank = bank_refine
             view = bank_refine.ensure(theta_refine)
-            greedy = backend.max_coverage(
+            greedy = max_coverage_greedy(
                 view, select=k, track_upper_bound=False
             )
             check = bank_check.ensure(theta_refine)
-            fraction = backend.coverage(check, greedy.seeds) / check.num_rr
+            fraction = check.coverage(greedy.seeds) / check.num_rr
             kpt_plus = max(kpt_star, fraction * n / (1.0 + eps_prime))
 
             # ---- Phase 3: final selection --------------------------------
@@ -128,16 +128,14 @@ class TIMPlus(IMAlgorithm):
             theta = self._cap(max(1, int(math.ceil(lam / kpt_plus))))
             last_bank = bank_final
             view = bank_final.ensure(theta)
-            greedy = backend.max_coverage(
+            greedy = max_coverage_greedy(
                 view, select=k, track_upper_bound=False
             )
         except ExecutionInterrupted as exc:
             pool = last_bank.pool
             if not pool.num_rr and bank_est.pool.num_rr:
                 pool = bank_est.pool
-            seeds = fallback_seeds(
-                pool if pool.num_rr else None, k, backend=backend
-            )
+            seeds = fallback_seeds(pool if pool.num_rr else None, k)
             return self._partial_result(
                 seeds, k, eps, delta,
                 generators=generators,

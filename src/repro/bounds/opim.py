@@ -61,44 +61,3 @@ def influence_upper_bound(
     root = math.sqrt(coverage_upper + eta / 2.0) + math.sqrt(eta / 2.0)
     return root * root * n / theta
 
-
-def sketch_gap_overlap(
-    lower: float,
-    coverage_upper_est: float,
-    theta: int,
-    n: int,
-    delta_u: float,
-    target: float,
-    epsilon_sketch: float,
-) -> bool:
-    """Does the sketch error band straddle the OPIM-C stopping decision?
-
-    The error-adaptive precision ladder's trigger: under a sketch coverage
-    backend the Eq. 2 input is an HLL *estimate* whose true value lies in
-    ``coverage_upper_est * (1 ± epsilon_sketch)`` within the certified
-    confidence band (the Eq. 1 lower bound stays exact).  Re-estimating
-    with more registers can only change the round's outcome when the
-    *optimistic* end of the band clears ``target`` while the *certified*
-    (inflated) end does not — precisely then the sketch error, not the
-    sample size, is what blocks convergence, and paying for a finer sketch
-    beats doubling theta.  Everywhere else escalation is wasted work:
-    either the round converges as-is, or no admissible coverage value
-    would let it.
-    """
-    if not math.isfinite(coverage_upper_est) or coverage_upper_est <= 0:
-        return False
-    certified = influence_upper_bound(
-        min(coverage_upper_est * (1.0 + epsilon_sketch), float(theta)),
-        theta,
-        n,
-        delta_u,
-    )
-    optimistic = influence_upper_bound(
-        max(coverage_upper_est * (1.0 - epsilon_sketch), 0.0),
-        theta,
-        n,
-        delta_u,
-    )
-    if certified <= 0 or optimistic <= 0:
-        return False
-    return lower / certified <= target < lower / optimistic

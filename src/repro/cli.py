@@ -185,12 +185,6 @@ def _run_payload(result, args, graph) -> dict:
         "average_rr_size": round(result.average_rr_size, 2),
         "certified_ratio": round(result.approx_ratio_certified, 4),
     }
-    backend_cert = result.extras.get("coverage_backend")
-    if backend_cert is not None:
-        payload["coverage_backend"] = {
-            key: round(value, 4) if isinstance(value, float) else value
-            for key, value in backend_cert.items()
-        }
     if result.is_partial:
         from repro.core.certify import partial_certificate
 
@@ -274,8 +268,7 @@ def cmd_run(args) -> int:
 
                 session = QuerySession(
                     graph, args.algorithm, seed=args.seed,
-                    shards=args.shards, spill_dir=args.spill_dir,
-                    coverage_backend=args.coverage_backend, **kwargs
+                    shards=args.shards, spill_dir=args.spill_dir, **kwargs
                 )
                 try:
                     for k in ks:
@@ -319,7 +312,6 @@ def cmd_run(args) -> int:
                             batched_mode=batched_mode,
                             metrics=metrics,
                             shards=pool,
-                            coverage_backend=args.coverage_backend,
                         )
                         entry = _run_payload(result, args, graph)
                         entry["k"] = k
@@ -356,7 +348,6 @@ def cmd_run(args) -> int:
             trace=want_trace,
             shards=args.shards,
             spill_dir=args.spill_dir,
-            coverage_backend=args.coverage_backend,
         )
     if args.metrics_out:
         _write_json(args.metrics_out, metrics.snapshot())
@@ -553,7 +544,6 @@ def cmd_serve(args) -> int:
         seed=args.seed,
         byte_cap=args.byte_cap,
         tenant_byte_caps=_parse_tenant_byte_caps(args.tenant_byte_cap),
-        coverage_backend=args.coverage_backend,
         default_deadline=args.default_deadline,
         lifetime_budget=Budget(
             max_edges_examined=args.max_edges,
@@ -745,13 +735,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "per-edge coins, subsim bucket-skipping, lt the "
                         "backward live-edge walk (only meaningful with "
                         "--batch-size > 1 or --shards)")
-    p.add_argument("--coverage-backend", default=None,
-                   choices=["exact", "sketch", "auto"],
-                   help="how selection reads the RR pool: exact "
-                        "(inverted-CSR, bit-identical default), sketch "
-                        "(per-node HLL rows — much smaller at huge theta, "
-                        "certified-approximate bounds), or auto (sketch "
-                        "only when the expected pool size is large)")
     p.add_argument("--metrics-out", default=None, metavar="PATH",
                    help="write the run's metrics-registry snapshot "
                         "(counters, gauges, histograms) as JSON")
@@ -847,10 +830,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="NAME=BYTES",
                    help="per-tenant override of --byte-cap (repeatable); "
                         "tenants not listed fall back to the global cap")
-    p.add_argument("--coverage-backend", default="exact",
-                   choices=["exact", "sketch", "auto"],
-                   help="coverage backend for every tenant session: exact "
-                        "inverted-CSR selection, sketch HLL rows, or auto")
     p.add_argument("--default-deadline", type=float, default=None,
                    metavar="SECONDS")
     p.add_argument("--max-edges", type=int, default=None,

@@ -1,22 +1,10 @@
 """Max-coverage seed selection over RR-set collections."""
 
-from repro.coverage.backend import (
-    AUTO_SKETCH_THETA,
-    COVERAGE_BACKENDS,
-    CoverageBackend,
-    ExactBackend,
-    resolve_backend,
-)
 from repro.coverage.celf import celf_max_coverage
 from repro.coverage.greedy import GreedyResult, max_coverage_greedy
 
 __all__ = [
-    "AUTO_SKETCH_THETA",
-    "COVERAGE_BACKENDS",
-    "CoverageBackend",
-    "ExactBackend",
     "GreedyResult",
     "celf_max_coverage",
     "max_coverage_greedy",
-    "resolve_backend",
 ]

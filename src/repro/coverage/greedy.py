@@ -43,9 +43,8 @@ class GreedyResult:
     coverage: int
     coverage_history: List[int] = field(repr=False)
     upper_bound_coverage: float
-    #: boolean per-set membership mask — ``None`` under the sketch backend,
-    #: which tracks coverage as a register union, not per-set bits
-    covered: Optional[np.ndarray] = field(repr=False)
+    #: boolean per-set membership mask
+    covered: np.ndarray = field(repr=False)
 
 
 def max_coverage_greedy(

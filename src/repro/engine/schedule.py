@@ -27,10 +27,6 @@ SelectFn = Callable[[PoolLike], Tuple[List[int], float]]
 ValidateFn = Callable[[PoolLike, List[int]], float]
 #: checkpoint callback: (round index, seeds, lower, upper) -> None
 CheckpointFn = Callable[[int, List[int], float, float], None]
-#: refine callback: (round index, theta, seeds, lower, upper) -> True to
-#: re-run the round at the same theta (the caller tightened its estimator,
-#: e.g. the sketch backend's precision ladder), False to accept the round
-RefineFn = Callable[[int, int, List[int], float, float], bool]
 
 
 @dataclass(frozen=True)
@@ -129,7 +125,6 @@ def run_doubling(
     resume: Optional[DoublingResume] = None,
     checkpointer: Optional[CheckpointFn] = None,
     phase: Optional[Callable[[str], Any]] = None,
-    refine: Optional[RefineFn] = None,
 ) -> DoublingOutcome:
     """Run the bootstrap-select-validate-double loop over two banks.
 
@@ -145,14 +140,6 @@ def run_doubling(
     the historical save points (the run RNG is snapshotted *after* both
     pools extended).  ``phase`` (e.g. ``IMAlgorithm._phase``) wraps the
     bootstrap and each round in trace spans when provided.
-
-    ``refine`` is the error-adaptive hook: after a round fails the target,
-    it may tighten the caller's coverage estimator (the sketch backend's
-    precision ladder) and return True to re-select at the *same* theta —
-    re-estimating with more registers only when the estimator's error band,
-    not the sample size, blocked convergence.  Returning False accepts the
-    round and the loop doubles as usual; a refine that cannot help anymore
-    must return False or the round would spin.
     """
     span = phase if phase is not None else _no_phase
     outcome = DoublingOutcome(seeds=list(initial_seeds))
@@ -176,20 +163,14 @@ def run_doubling(
             outcome.rounds = i
             with span(f"round-{i}") as sp:
                 theta = schedule.theta_at(i)
-                while True:
-                    seeds, upper = select(bank1.view(theta))
-                    outcome.seeds = seeds
-                    outcome.upper = upper
-                    outcome.lower = validate(bank2.view(theta), seeds)
-                    if upper > 0 and outcome.lower / upper > target:
-                        outcome.converged = True
-                        _annotate_round(sp, theta, outcome)
-                        return outcome
-                    if refine is None or not refine(
-                        i, theta, seeds, outcome.lower, outcome.upper
-                    ):
-                        break
+                seeds, upper = select(bank1.view(theta))
+                outcome.seeds = seeds
+                outcome.upper = upper
+                outcome.lower = validate(bank2.view(theta), seeds)
                 _annotate_round(sp, theta, outcome)
+                if upper > 0 and outcome.lower / upper > target:
+                    outcome.converged = True
+                    return outcome
                 if i < schedule.rounds:
                     bank1.ensure(2 * theta)
                     bank2.ensure(2 * theta)
@@ -208,15 +189,13 @@ def fallback_seeds(
     select: int,
     *,
     last: Optional[Any] = None,
-    backend: Optional[Any] = None,
     **greedy_kwargs: Any,
 ) -> List[int]:
     """Best-effort seeds for a partial result.
 
     Reuses the interrupted round's greedy result when one exists (the
     engine-provided shape of OPIM-C's ``_finalize_partial``); otherwise
-    falls back to one greedy pass over whatever the pool holds — through
-    ``backend`` when the run used a non-default coverage backend.  Bound
+    falls back to one greedy pass over whatever the pool holds.  Bound
     tracking is disabled — it never affects which seeds greedy picks, and
     a partial result's certificate comes from the completed rounds.
     """
@@ -224,10 +203,6 @@ def fallback_seeds(
         return list(last.seeds)
     if pool is None or pool.num_rr == 0:
         return []
-    if backend is not None:
-        return backend.max_coverage(
-            pool, select, track_upper_bound=False, **greedy_kwargs
-        ).seeds
     greedy = max_coverage_greedy(
         pool, select=select, track_upper_bound=False, **greedy_kwargs
     )

@@ -72,28 +72,15 @@ class BankProvider:
         byte_cap: Optional[int] = None,
         session_metrics: Optional[MetricsRegistry] = None,
         shard_pool: Optional[Any] = None,
-        coverage_backend: Optional[str] = None,
     ) -> None:
         if (rng is None) == (entropy is None):
             raise ConfigurationError(
                 "a BankProvider needs exactly one of a shared rng "
                 "(transient mode) or an entropy (session mode)"
             )
-        if coverage_backend is not None:
-            from repro.coverage.backend import COVERAGE_BACKENDS
-
-            if coverage_backend not in COVERAGE_BACKENDS:
-                raise ConfigurationError(
-                    f"coverage_backend must be one of "
-                    f"{', '.join(repr(b) for b in COVERAGE_BACKENDS)}, "
-                    f"got {coverage_backend!r}"
-                )
         self.graph = graph
         self.reuse = reuse
         self.byte_cap = byte_cap
-        #: default coverage backend for every run served from this provider
-        #: (a run-level ``coverage_backend=`` argument overrides it)
-        self.coverage_backend = coverage_backend
         self.metrics = session_metrics
         self.entropy = entropy
         #: when set, every bank this provider hands out is shard-resident
@@ -304,7 +291,6 @@ class QuerySession:
         byte_cap: Optional[int] = None,
         shards: Optional[int] = None,
         spill_dir: Optional[str] = None,
-        coverage_backend: Optional[str] = None,
         **algorithm_kwargs: Any,
     ) -> None:
         self.graph = graph
@@ -330,7 +316,6 @@ class QuerySession:
             byte_cap=byte_cap,
             session_metrics=self.metrics,
             shard_pool=self._shard_pool,
-            coverage_backend=coverage_backend,
         )
         self.queries_served = 0
 
@@ -367,7 +352,6 @@ class QuerySession:
         batched_mode: Optional[str] = None,
         metrics: Optional[MetricsRegistry] = None,
         trace: bool = False,
-        coverage_backend: Optional[str] = None,
     ) -> Any:
         """Serve one query against the session's banks.
 
@@ -394,12 +378,11 @@ class QuerySession:
             batch_size=batch_size,
             batched_mode=batched_mode,
             # Default the run registry to the session's so per-query
-            # observability (coverage.sketch_* counters, rr_pool_bytes)
+            # observability (coverage counters, rr_pool_bytes)
             # survives the query and shows up in serving /metrics.
             metrics=metrics if metrics is not None else self.metrics,
             trace=trace,
             banks=self.provider,
-            coverage_backend=coverage_backend,
         )
         self.queries_served += 1
         result.extras["session"] = {

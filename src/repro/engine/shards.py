@@ -136,17 +136,6 @@ class ShardedPoolView:
         """Stitch per-rank local-order arrays into global set order."""
         return self._bank.assemble_global(per_rank, self.num_rr)
 
-    def sketch_registers(self, precision: int, hash_seed: int) -> np.ndarray:
-        """Merged per-node HLL registers over this view's prefix.
-
-        The sketch backend's scatter-gather path: every worker sketches its
-        local sets under globally distinct ids and only the ``(n, 2^p)``
-        register arrays travel back, replacing per-node gain vectors on the
-        wire (see :meth:`ShardPool.sketch_registers`)."""
-        return self.shard_pool.sketch_registers(
-            self.role, self.limits, precision, hash_seed
-        )
-
 
 class ShardedRRBank:
     """An RR bank whose pool lives sharded across a :class:`ShardPool`."""

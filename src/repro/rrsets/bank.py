@@ -240,8 +240,8 @@ class RRBank:
             metrics = getattr(self.generator, "metrics", None)
             if metrics is not None:
                 # extend() published the pool-only figure; overwrite with
-                # the bank-level total (journal + sketch registers) so the
-                # gauge matches what byte_cap eviction accounts.
+                # the bank-level total (pool + journal) so the gauge
+                # matches what byte_cap eviction accounts.
                 metrics.set_gauge("rr_pool_bytes", self.nbytes())
         self._account(min(theta, self.pool.num_rr), self.pool.num_rr - have)
         return self.view(theta)
@@ -361,8 +361,8 @@ class RRBank:
         return len(self._journal) * self._journal_entry_nbytes
 
     def nbytes(self) -> int:
-        """Resident bytes the bank pins: pool buffers (including any
-        attached sketch registers) plus the repair journal.
+        """Resident bytes the bank pins: pool buffers plus the repair
+        journal.
 
         The journal grows one entry per generation unit and was previously
         invisible to ``byte_cap`` accounting, letting a "capped" bank hold
@@ -518,12 +518,7 @@ class RRBank:
             raise ConfigurationError("only reusable banks can be evicted")
         for sink in self._sinks:
             sink.inc("bank.evictions")
-        sketch = self.pool.coverage_sketch
         self.pool = RRCollection(self.graph.n)
-        if sketch is not None:
-            # Keep the sketch identity across eviction: the regenerated
-            # prefix re-ingests into empty registers of the same shape.
-            self.pool.attach_sketch(sketch.fresh())
         self.generator.counters = GenerationCounters()
         self.generator._reported_edges = 0
         self.rng.bit_generator.state = self._rng_state0
@@ -585,13 +580,6 @@ class RRBank:
             "rng_state0": self._rng_state0,
             "repair_epoch": int(self._repair_epoch),
             "journal": list(self._journal),
-            # Sketch identity only: registers are a deterministic function
-            # of (pool, precision, salt) and re-derive on restore.
-            "sketch": (
-                self.pool.coverage_sketch.spec()
-                if self.pool.coverage_sketch is not None
-                else None
-            ),
         }
 
     def restore_state(
@@ -622,12 +610,6 @@ class RRBank:
         self._repair_epoch = int(payload.get("repair_epoch", 0))
         self._journal = list(payload.get("journal", []))
         self._journal_entry_nbytes = None
-        sketch_spec = payload.get("sketch")
-        if sketch_spec is not None:
-            from repro.coverage.sketch import CoverageSketch
-
-            sketch = pool.attach_sketch(
-                CoverageSketch.from_spec(pool.n, sketch_spec)
-            )
-            sketch.sync(pool)
+        # Older snapshots may carry a "sketch" entry (coverage-sketch
+        # registers, derived data of a removed tier): ignored.
         self._dirty = False

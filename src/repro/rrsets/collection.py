@@ -252,9 +252,6 @@ class RRCollection:
         #: when spilled, the ``prefix`` passed to :meth:`spill_to` (the
         #: node pool and offsets live in disk-backed memory maps there).
         self._spill_prefix: Optional[str] = None
-        #: optional attached coverage sketch (sketch backend); kept current
-        #: incrementally on every append, marked stale on in-place rewrites
-        self._sketch = None
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -301,7 +298,6 @@ class RRCollection:
 
         Disk-backed (spilled) buffers are excluded: the figure tracks RSS
         pressure, and memory-mapped pages are reclaimable by the OS.
-        Attached sketch registers count — they are resident pool state.
         """
         total = self._counts.nbytes
         for buf in (self._nodes, self._indptr):
@@ -309,32 +305,7 @@ class RRCollection:
                 total += buf.nbytes
         if self._inv_rrs is not None:
             total += self._inv_rrs.nbytes + self._inv_indptr.nbytes
-        if self._sketch is not None:
-            total += self._sketch.nbytes()
         return total
-
-    # ------------------------------------------------------------------
-    # coverage sketch attachment
-    # ------------------------------------------------------------------
-    @property
-    def coverage_sketch(self):
-        """The attached :class:`~repro.coverage.sketch.CoverageSketch`,
-        or ``None`` (exact mode)."""
-        return self._sketch
-
-    def attach_sketch(self, sketch):
-        """Attach a coverage sketch the pool keeps current on append.
-
-        Every subsequent :meth:`add` / :meth:`add_batch` scatters the new
-        sets into the sketch registers; :meth:`replace_sets` marks it stale
-        (HLLs cannot delete — the backend rebuilds lazily).  Returns the
-        sketch for chaining.
-        """
-        self._sketch = sketch
-        return sketch
-
-    def detach_sketch(self) -> None:
-        self._sketch = None
 
     # ------------------------------------------------------------------
     # growth
@@ -375,8 +346,6 @@ class RRCollection:
         self._num_rr = rr_id + 1
         self.total_size = start + size
         self._counts[arr] += 1
-        if self._sketch is not None:
-            self._sketch.observe(rr_id, arr)
         return rr_id
 
     def add_batch(self, nodes: np.ndarray, sizes: np.ndarray) -> int:
@@ -404,8 +373,6 @@ class RRCollection:
         self.total_size = start + len(nodes)
         # Nodes may repeat across (not within) sets: unbuffered add.
         np.add.at(self._counts, nodes, 1)
-        if self._sketch is not None:
-            self._sketch.observe_batch(first_id, nodes, sizes)
         return first_id
 
     def extend(
@@ -620,10 +587,6 @@ class RRCollection:
         self._inv_indptr = None
         self._inv_rrs = None
         self._inv_num_rr = -1
-        if self._sketch is not None:
-            # Register rows cannot un-count the replaced sets' old members;
-            # the sketch backend rebuilds from the rewritten pool lazily.
-            self._sketch.mark_stale()
 
     def uncovered_counts(
         self, nodes: np.ndarray, covered: np.ndarray

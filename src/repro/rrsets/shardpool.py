@@ -495,30 +495,6 @@ class _ShardWorker:
         view = self._view(payload["role"], payload["limit"])
         return {"sums": view.per_set_sums(payload["values"])}
 
-    def _cmd_sketch_registers(self, payload):
-        # Non-mutating: build a coverage sketch over this shard's prefix.
-        # Ids are remapped to ``local_id * shards + rank`` — bijective
-        # across the partition, so the coordinator's register-max union
-        # counts the global pool exactly as if it were one collection.
-        from repro.coverage.sketch import CoverageSketch
-
-        state = self.roles.get(payload["role"])
-        pool = state.pool if state is not None else RRCollection(self.graph.n)
-        limit = min(int(payload["limit"]), pool.num_rr)
-        sketch = CoverageSketch(
-            self.graph.n,
-            precision=int(payload["precision"]),
-            hash_seed=int(payload["hash_seed"]),
-        )
-        sketch.ingest_range(
-            pool,
-            0,
-            limit,
-            id_stride=int(payload["shards"]),
-            id_offset=self.rank,
-        )
-        return {"registers": sketch.registers, "num_rr": limit}
-
     def _cmd_select_begin(self, payload):
         self.selections[payload["role"]] = _Selection(payload["limit"])
         return {}
@@ -1122,36 +1098,6 @@ class ShardPool:
             ],
         )
         return [reply["sums"] for reply in replies]
-
-    def sketch_registers(
-        self,
-        role: str,
-        limits: Sequence[int],
-        precision: int,
-        hash_seed: int,
-    ) -> np.ndarray:
-        """Mergeable HLL coverage registers for the role's global prefix.
-
-        Each worker sketches its local sets under globally distinct ids
-        (``local_id * shards + rank``); the element-wise register maximum
-        is then the *lossless* HLL union, so the merged rows estimate
-        coverage over the whole partitioned pool.  Only ``(n, 2^precision)``
-        uint8 arrays cross the wire — not per-set membership.
-        """
-        replies = self._request_all(
-            "sketch_registers",
-            [
-                {
-                    "role": role,
-                    "limit": int(limits[r]),
-                    "precision": int(precision),
-                    "hash_seed": int(hash_seed),
-                    "shards": self.shards,
-                }
-                for r in range(self.shards)
-            ],
-        )
-        return np.maximum.reduce([reply["registers"] for reply in replies])
 
     # -- selection sessions --------------------------------------------
     def select_begin(self, role: str, limits: Sequence[int]) -> None:

@@ -47,11 +47,6 @@ class ServerConfig:
         tenant listed here gets its own cap (which may be larger or
         smaller than the global default); everyone else falls back to
         ``byte_cap``.
-    coverage_backend:
-        Default coverage backend for every tenant session: ``"exact"``
-        (inverted-CSR selection, the historical behavior), ``"sketch"``
-        (per-node HLL coverage rows — far smaller resident footprint at
-        huge theta, certified-approximate bounds), or ``"auto"``.
     default_deadline:
         Deadline (seconds) applied to queries that do not send one;
         ``None`` means no implicit deadline.
@@ -101,7 +96,6 @@ class ServerConfig:
     seed: int = 0
     byte_cap: Optional[int] = None
     tenant_byte_caps: Dict[str, int] = field(default_factory=dict)
-    coverage_backend: str = "exact"
     default_deadline: Optional[float] = None
     deadline_grace: float = 2.0
     lifetime_budget: Budget = field(default_factory=Budget)
@@ -147,14 +141,6 @@ class ServerConfig:
             )
         if self.spill_dir is not None and self.shards is None:
             raise ConfigurationError("spill_dir requires shards")
-        from repro.coverage.backend import COVERAGE_BACKENDS
-
-        if self.coverage_backend not in COVERAGE_BACKENDS:
-            raise ConfigurationError(
-                f"coverage_backend must be one of "
-                f"{', '.join(repr(b) for b in COVERAGE_BACKENDS)}, "
-                f"got {self.coverage_backend!r}"
-            )
         for tenant, cap in self.tenant_byte_caps.items():
             if cap < 1:
                 raise ConfigurationError(

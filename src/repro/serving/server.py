@@ -624,11 +624,6 @@ class QueryServer:
             "certificate": _certificate_block(certificate),
             "session": result.extras.get("session", {}),
         }
-        backend_cert = result.extras.get("coverage_backend")
-        if backend_cert is not None:
-            # Present only for non-exact backends, mirroring the CLI
-            # payload: exact answers carry no sketch error model.
-            payload["coverage_backend"] = dict(backend_cert)
         job.respond(200, payload)
 
     # ------------------------------------------------------------------

@@ -123,7 +123,6 @@ class SessionManager:
             byte_cap=byte_cap,
             shards=self.config.shards,
             spill_dir=self.spill_path(tenant, graph_name),
-            coverage_backend=self.config.coverage_backend,
         )
         entry = SessionEntry((tenant, graph_name), session)
         path = self.snapshot_path(tenant, graph_name)

@@ -61,16 +61,6 @@ DYNAMIC_WORKLOADS = [
     ("dynamic/delete-heavy", {"inserts": 2, "deletes": 12, "updates": 2}),
 ]
 
-#: (name, algorithm, weight scheme) — sketch-backend workloads.  Hashing,
-#: register scatter, ladder escalation and the certified bounds are all
-#: deterministic for a fixed seed, so these pin the sketch coverage path
-#: exactly the way WORKLOADS pins the exact one.  Appended *after* the
-#: original matrix: the first ten workloads' documents stay byte-identical.
-SKETCH_WORKLOADS = [
-    ("sketch/opim-c/wc", "opim-c", "wc"),
-    ("sketch/subsim/wc", "subsim", "wc"),
-]
-
 #: RNG seed for the dynamic workloads' delta construction
 DELTA_SEED = 23
 
@@ -108,31 +98,24 @@ def run_workload(
     algorithm: str,
     weight_scheme: str,
     batch_size: int,
-    coverage_backend: str = None,
 ) -> Dict[str, Any]:
     """Run one matrix cell; returns the canonical RunReport projection."""
     graph = _build_graph(weight_scheme)
     metrics = MetricsRegistry()
     algo = get_algorithm(algorithm, graph)
-    run_kwargs = {}
-    config = {"weights": weight_scheme, "batch_size": batch_size}
-    if coverage_backend is not None:
-        run_kwargs["coverage_backend"] = coverage_backend
-        config["coverage_backend"] = coverage_backend
     result = algo.run(
         QUERY["k"],
         eps=QUERY["eps"],
         seed=QUERY["seed"],
         batch_size=batch_size,
         metrics=metrics,
-        **run_kwargs,
     )
     report = build_run_report(
         result,
         graph,
         seed=QUERY["seed"],
         metrics=metrics,
-        config=config,
+        config={"weights": weight_scheme, "batch_size": batch_size},
     )
     return report.canonical()
 
@@ -220,10 +203,6 @@ def collect_baseline() -> Dict[str, Any]:
     }
     workloads.update({
         name: run_dynamic_workload(mix) for name, mix in DYNAMIC_WORKLOADS
-    })
-    workloads.update({
-        name: run_workload(algorithm, weights, 1, coverage_backend="sketch")
-        for name, algorithm, weights in SKETCH_WORKLOADS
     })
     return {
         "baseline_schema_version": BASELINE_SCHEMA_VERSION,

@@ -175,6 +175,34 @@ class TestSessionPersistence:
         assert resumed.seeds == continued.seeds
         assert resumed.num_rr_sets == continued.num_rr_sets
 
+    def test_restore_ignores_legacy_sketch_entry(self, wc_graph, tmp_path):
+        from repro.runtime.checkpoint import CheckpointStore
+
+        path = str(tmp_path / "session.npz")
+        live = QuerySession(wc_graph, "subsim", seed=23)
+        live.maximize(5, eps=0.3)
+        live.save(path)
+        meta, pools = CheckpointStore(path).load()
+        assert all("sketch" not in bank for bank in meta["banks"].values())
+        # Snapshots from before the sketch coverage tier was removed carry
+        # a per-bank "sketch" spec (derived registers); it must not matter.
+        for bank in meta["banks"].values():
+            bank["sketch"] = {
+                "precision": 10, "hash_seed": 0, "num_ingested": 0,
+            }
+        legacy = str(tmp_path / "legacy.npz")
+        CheckpointStore(legacy).save(meta, pools)
+
+        answers = []
+        for snapshot in (path, legacy):
+            restored = QuerySession(wc_graph, "subsim", seed=23)
+            result = restored.restore(snapshot).maximize(9, eps=0.3)
+            answers.append((
+                result.seeds, result.num_rr_sets,
+                result.edges_examined, result.rng_draws,
+            ))
+        assert answers[0] == answers[1]
+
     def test_restore_rejects_other_algorithm(self, wc_graph, tmp_path):
         path = str(tmp_path / "session.npz")
         QuerySession(wc_graph, "subsim", seed=1).save(path)

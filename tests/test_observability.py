@@ -36,7 +36,12 @@ from repro.runtime import FaultInjector
 from repro.rrsets.collection import RRCollection
 from repro.rrsets.subsim import SubsimICGenerator
 from repro.rrsets.vanilla import VanillaICGenerator
-from repro.tools.counter_baseline import diff_documents, run_workload
+from repro.tools.counter_baseline import (
+    baseline_path,
+    diff_documents,
+    load_baseline,
+    run_workload,
+)
 from repro.utils.exceptions import InjectedFault
 
 K = 8
@@ -503,6 +508,13 @@ class TestCounterBaselineDiff:
     def test_identity_diff_is_empty(self, document):
         copy = json.loads(json.dumps(document))
         assert diff_documents(document, copy) == []
+
+    def test_default_run_matches_committed_baseline(self, document):
+        # The exact selection path is the only one: a default run must
+        # reproduce its committed counter-baseline cell bit for bit.
+        committed = load_baseline(baseline_path())
+        cell = json.loads(json.dumps(document["workloads"]["subsim/wc/sequential"]))
+        assert cell == committed["workloads"]["subsim/wc/sequential"]
 
     def test_tampered_counter_is_reported(self, document):
         tampered = json.loads(json.dumps(document))

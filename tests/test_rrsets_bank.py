@@ -503,18 +503,6 @@ class TestBankMemoryAccounting:
         assert bank.journal_nbytes() > 0
         assert bank.nbytes() == bank.pool.nbytes() + bank.journal_nbytes()
 
-    def test_nbytes_includes_sketch_registers(self, wc_graph):
-        from repro.coverage.sketch import CoverageSketch
-
-        bank = _bank(wc_graph, reusable=True, entropy=7)
-        bank.ensure(80)
-        before = bank.nbytes()
-        sketch = bank.pool.attach_sketch(
-            CoverageSketch(wc_graph.n, precision=8)
-        )
-        sketch.sync(bank.pool)
-        assert bank.nbytes() == before + sketch.nbytes()
-
     def test_pool_bytes_gauge_reports_bank_total(self, wc_graph):
         from repro.observability import MetricsRegistry
 

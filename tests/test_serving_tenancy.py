@@ -1,4 +1,4 @@
-"""Per-tenant byte caps and the server-wide coverage-backend default."""
+"""Per-tenant byte caps: config validation, session wiring, CLI flags."""
 
 from __future__ import annotations
 
@@ -20,12 +20,6 @@ class TestConfigValidation:
     def test_tenant_cap_must_be_positive(self):
         with pytest.raises(ConfigurationError, match="tenant_byte_caps"):
             ServerConfig(tenant_byte_caps={"t1": 0})
-
-    def test_coverage_backend_validated(self):
-        with pytest.raises(ConfigurationError, match="coverage_backend"):
-            ServerConfig(coverage_backend="bogus")
-        for spec in ("exact", "sketch", "auto"):
-            assert ServerConfig(coverage_backend=spec).coverage_backend == spec
 
 
 class TestTenantByteCaps:
@@ -83,23 +77,6 @@ class TestTenantByteCaps:
         assert answers["roomy"][0] == answers["roomy"][1]
 
 
-class TestCoverageBackendDefault:
-    def test_sessions_inherit_server_backend(self, graph):
-        manager = SessionManager(
-            ServerConfig(algorithm="subsim", seed=7, coverage_backend="sketch")
-        )
-        with manager.lease("t", "g", graph) as session:
-            assert session.provider.coverage_backend == "sketch"
-            result = session.maximize(4, eps=0.4)
-        assert result.extras["coverage_backend"]["backend"] == "sketch"
-
-    def test_exact_default_leaves_no_certificate(self, graph):
-        manager = SessionManager(ServerConfig(algorithm="subsim", seed=7))
-        with manager.lease("t", "g", graph) as session:
-            result = session.maximize(4, eps=0.4)
-        assert result.extras.get("coverage_backend") is None
-
-
 class TestTenantByteCapCli:
     def test_parse_pairs(self):
         from repro.cli import _parse_tenant_byte_caps
@@ -123,15 +100,5 @@ class TestTenantByteCapCli:
             "serve", "--graph", "g=/tmp/g.npz",
             "--tenant-byte-cap", "whale=8000000",
             "--tenant-byte-cap", "minnow=4096",
-            "--coverage-backend", "sketch",
         ])
         assert args.tenant_byte_cap == ["whale=8000000", "minnow=4096"]
-        assert args.coverage_backend == "sketch"
-
-    def test_run_parser_accepts_coverage_backend(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args([
-            "run", "/tmp/g.npz", "--coverage-backend", "sketch",
-        ])
-        assert args.coverage_backend == "sketch"

@@ -46,7 +46,6 @@ HEADLINES: List[Tuple[str, str, str]] = [
     ("BENCH_serving.json", "warm_speedup", "higher"),
     ("BENCH_sharded.json", "realloc.speedup", "higher"),
     ("BENCH_dynamic.json", "repair_speedup", "higher"),
-    ("BENCH_sketch.json", "memory_reduction", "higher"),
 ]
 
 
