@@ -1,11 +1,16 @@
-"""Sharded worker runtime benchmark: a large sharded run and pool growth.
+"""Sharded worker runtime benchmark: a large run with and without shards.
 
 Two measurements, written to ``benchmarks/results/BENCH_sharded.json``:
 
-* **large-run** — an end-to-end ``opim-c`` query (batched ``ic`` kernel)
-  on an n=10^6 WC Erdős–Rényi graph through the shard runtime with
-  spill-to-disk, reporting wall time and the peak RSS across the parent
-  and every worker (the stated memory cap the spill tier must respect).
+* **large-run** — one ``opim-c`` query (batched ``ic`` kernel,
+  ``batch_size=256``) on an n=10^6 WC Erdős–Rényi graph, run twice on the
+  same graph with the same ``k``, ``eps`` and seed: once through an
+  unsharded :class:`~repro.engine.session.QuerySession`, once through a
+  sharded one (``QuerySession(shards=, spill_dir=)``) that spills its pools
+  to disk afterwards.  Each arm records wall time and the peak memory of
+  the parent plus every shard worker.  Memory is the summed proportional
+  set size (Pss): plain RSS would count the shared-memory graph once per
+  worker.  It is sampled every 0.25 s while the query runs.
 * **realloc** — the power-of-two pool growth policy versus a simulated
   exact-size growth, counting buffer reallocations per appended set.
 
@@ -14,9 +19,9 @@ Run directly::
     PYTHONPATH=src python benchmarks/bench_sharded.py            # full
     PYTHONPATH=src python benchmarks/bench_sharded.py --quick    # CI smoke
 
-``--quick`` shrinks everything so the whole run finishes in well under a
-minute and writes ``BENCH_sharded_quick.json`` so a smoke run never
-overwrites the committed full-size numbers.
+``--quick`` shrinks everything (both large-run arms included) so the whole
+run finishes in well under a minute and writes ``BENCH_sharded_quick.json``
+so a smoke run never overwrites the committed full-size numbers.
 """
 
 from __future__ import annotations
@@ -25,81 +30,134 @@ import argparse
 import json
 import os
 import tempfile
+import threading
 import time
 from pathlib import Path
 
 import numpy as np
 
-from repro.core.registry import get_algorithm
+from repro.engine.session import QuerySession
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.weights import wc_weights
 from repro.rrsets.collection import RRCollection, _pow2_capacity
-from repro.rrsets.shardpool import ShardPool
 
 RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_sharded.json"
 QUICK_RESULTS_PATH = (
     Path(__file__).parent / "results" / "BENCH_sharded_quick.json"
 )
 
+#: seconds between memory samples while a query runs
+SAMPLE_INTERVAL = 0.25
 
-def _rss_kib(pid: int) -> int:
-    """VmRSS of one process in KiB (0 if it vanished)."""
-    try:
-        with open(f"/proc/{pid}/status") as handle:
-            for line in handle:
-                if line.startswith("VmRSS:"):
-                    return int(line.split()[1])
-    except OSError:
-        pass
+
+def _pss_kib(pid: int) -> int:
+    """Proportional set size of one process in KiB (0 if it vanished).
+
+    Falls back to VmRSS where ``smaps_rollup`` is unavailable.
+    """
+    for path, key in ((f"/proc/{pid}/smaps_rollup", "Pss:"),
+                      (f"/proc/{pid}/status", "VmRSS:")):
+        try:
+            with open(path) as handle:
+                for line in handle:
+                    if line.startswith(key):
+                        return int(line.split()[1])
+        except OSError:
+            continue
     return 0
 
 
-def _pool_rss_mib(pool: ShardPool) -> float:
-    """Parent + all shard workers, in MiB."""
-    pids = [os.getpid()] + [p.pid for p in pool._procs if p is not None]
-    return sum(_rss_kib(pid) for pid in pids) / 1024.0
+def _session_mib(session: QuerySession) -> float:
+    """Parent + all shard workers of ``session``, in MiB."""
+    pids = [os.getpid()]
+    if session.shard_pool is not None:
+        pids += [p.pid for p in session.shard_pool._procs if p is not None]
+    return sum(_pss_kib(pid) for pid in pids) / 1024.0
+
+
+class _PeakSampler:
+    """Background thread tracking the peak of :func:`_session_mib`."""
+
+    def __init__(self, session: QuerySession) -> None:
+        self.session = session
+        self.peak = _session_mib(session)
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._loop, daemon=True)
+
+    def _loop(self) -> None:
+        while not self._stop.wait(SAMPLE_INTERVAL):
+            self.peak = max(self.peak, _session_mib(self.session))
+
+    def __enter__(self) -> "_PeakSampler":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._stop.set()
+        self._thread.join()
+        self.peak = max(self.peak, _session_mib(self.session))
+
+
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
+
+
+def _run_arm(graph, *, k: int, eps: float, seed: int, batch_size: int,
+             shards=None, spill_dir=None) -> dict:
+    """One cold ``opim-c`` query through a fresh (un)sharded session."""
+    with QuerySession(graph, "opim-c", seed=seed, shards=shards,
+                      spill_dir=spill_dir) as session:
+        start_mib = _session_mib(session)
+        with _PeakSampler(session) as sampler:
+            start = time.perf_counter()
+            result = session.maximize(k, eps=eps, batch_size=batch_size)
+            run_s = time.perf_counter() - start
+        arm = {
+            "run_seconds": round(run_s, 2),
+            "status": result.status,
+            "num_rr_sets": result.num_rr_sets,
+            "average_rr_size": round(result.average_rr_size, 2),
+            "start_pss_mib": round(start_mib, 1),
+            "peak_pss_mib": round(sampler.peak, 1),
+        }
+        pool = session.shard_pool
+        if pool is not None:
+            spilled = pool.spill()
+            arm["pss_after_spill_mib"] = round(_session_mib(session), 1)
+            arm["resident_pool_bytes_after_spill"] = int(sum(
+                r["nbytes"] for s in pool.stats() for r in s.values()
+            ))
+            arm["spill_files"] = sum(len(s) for s in spilled if s)
+    return arm
 
 
 def bench_large_run(*, n: int, degree: float, k: int, eps: float,
                     shards: int, spill_dir: str) -> dict:
-    """One end-to-end sharded query at scale, with RSS tracking."""
+    """The same query at scale, unsharded and then sharded with spill."""
     build_start = time.perf_counter()
     graph = wc_weights(erdos_renyi(n, degree, seed=1))
     build_s = time.perf_counter() - build_start
 
-    pool = ShardPool(graph, shards, spill_dir=spill_dir)
-    peak_rss = _pool_rss_mib(pool)
-    try:
-        algo = get_algorithm("opim-c", graph)
-        start = time.perf_counter()
-        result = algo.run(k, eps=eps, seed=7, shards=pool, batch_size=256)
-        run_s = time.perf_counter() - start
-        peak_rss = max(peak_rss, _pool_rss_mib(pool))
-        spilled = pool.spill()
-        after_spill_rss = _pool_rss_mib(pool)
-        stats = pool.stats()
-        resident_pool_bytes = sum(
-            r["nbytes"] for s in stats for r in s.values()
-        )
-    finally:
-        pool.close()
-
+    query = dict(k=k, eps=eps, seed=7, batch_size=256)
+    unsharded = _run_arm(graph, **query)
+    sharded = _run_arm(graph, shards=shards, spill_dir=spill_dir, **query)
     return {
         "n": n,
         "avg_degree": degree,
         "weights": "wc",
-        "k": k,
-        "eps": eps,
+        "algorithm": "opim-c",
+        **query,
         "shards": shards,
+        "cpus": _cpus(),
         "graph_build_seconds": round(build_s, 2),
-        "run_seconds": round(run_s, 2),
-        "status": result.status,
-        "num_rr_sets": result.num_rr_sets,
-        "average_rr_size": round(result.average_rr_size, 2),
-        "peak_rss_mib": round(peak_rss, 1),
-        "rss_after_spill_mib": round(after_spill_rss, 1),
-        "resident_pool_bytes_after_spill": int(resident_pool_bytes),
-        "spill_files": sum(len(s) for s in spilled if s),
+        "unsharded": unsharded,
+        "sharded": sharded,
+        "sharded_seconds_ratio": round(
+            sharded["run_seconds"] / max(unsharded["run_seconds"], 1e-9), 2
+        ),
     }
 
 

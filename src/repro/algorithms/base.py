@@ -4,10 +4,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import TYPE_CHECKING, Optional, Type, Union
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.rrsets.shardpool import ShardPool
+from typing import Optional, Type, Union
 
 import numpy as np
 
@@ -57,7 +54,8 @@ class IMAlgorithm:
     #: set False for algorithms that do not generate RR sets (heuristics)
     uses_rr_sets = True
     #: set False for algorithms incompatible with the sharded worker
-    #: runtime (cursor-style ``take()`` consumers, non-RR heuristics)
+    #: runtime (cursor-style ``take()`` consumers, non-RR heuristics);
+    #: ``QuerySession(shards=...)`` refuses them up front
     supports_shards = True
 
     def __init__(
@@ -73,7 +71,6 @@ class IMAlgorithm:
         self._banks: Optional[BankProvider] = None
         self._resume_state = None
         self._batch_size = 1
-        self._batched_mode: Optional[str] = None
 
     # ------------------------------------------------------------------
     def run(
@@ -90,12 +87,9 @@ class IMAlgorithm:
         resume: bool = False,
         fault_injector: Optional[FaultInjector] = None,
         batch_size: int = 1,
-        batched_mode: Optional[str] = None,
         metrics: Optional[MetricsRegistry] = None,
         trace: bool = False,
         banks: Optional[BankProvider] = None,
-        shards: Union[None, int, "ShardPool"] = None,
-        spill_dir: Optional[str] = None,
     ) -> IMResult:
         """Select ``k`` seeds with a ``(1 - 1/e - eps)`` guarantee w.p. ``1 - delta``.
 
@@ -118,12 +112,8 @@ class IMAlgorithm:
           replays the sequential per-set loop with its exact RNG schedule
           (bit-identical seeds, counters and checkpoints); ``batch_size >
           1`` enables the vectorized batched engine, which samples the
-          identical RR-set distribution.
-        * ``batched_mode`` — override the vectorized kernel the batched
-          engine runs (``"ic"``, ``"subsim"`` or ``"lt"``); ``None`` (the
-          default) keeps the generator's own kernel.  The override must be
-          one of the generator's ``supported_batched_modes`` and only
-          matters when ``batch_size > 1`` or ``shards`` is set.
+          identical RR-set distribution.  The kernel it runs is the
+          generator's own (the registry name picks the generator).
         * ``metrics`` — a :class:`~repro.observability.registry
           .MetricsRegistry` that the run populates (counters, RR-size
           histogram, pool-memory gauge); its snapshot lands in
@@ -138,17 +128,9 @@ class IMAlgorithm:
           transient provider around the run's own RNG is built internally
           and the run replays the historical RNG schedule bit-identically.
           Incompatible with ``checkpoint``/``resume`` — session durability
-          goes through ``QuerySession.save``.
-        * ``shards`` — run RR generation and seed selection on a persistent
-          sharded worker runtime: an integer spins up a private
-          :class:`~repro.rrsets.shardpool.ShardPool` for this run (torn
-          down afterwards), a ready pool is reused as-is.  The RR pools
-          stay resident in the workers; selection is scatter-gather with a
-          provably identical seed sequence.  Incompatible with
-          ``checkpoint``/``resume``/``banks`` (sharded
-          *sessions* are built through ``QuerySession(shards=...)``).
-        * ``spill_dir`` — directory for worker pool spill and crash-recovery
-          checkpoints (only with an integer ``shards``).
+          goes through ``QuerySession.save``.  The sharded worker
+          runtime is reached only this way, through
+          ``QuerySession(shards=...)``.
         """
         n = self.graph.n
         if not 1 <= k <= n:
@@ -164,24 +146,6 @@ class IMAlgorithm:
             raise ConfigurationError(
                 f"batch_size must be >= 1, got {batch_size}"
             )
-        if batched_mode is not None:
-            from repro.rrsets.batched import BATCHED_MODES
-
-            supported = getattr(
-                self.generator_cls, "supported_batched_modes", ()
-            )
-            if batched_mode not in BATCHED_MODES:
-                raise ConfigurationError(
-                    f"batched_mode must be one of "
-                    f"{', '.join(repr(m) for m in BATCHED_MODES)}, "
-                    f"got {batched_mode!r}"
-                )
-            if batched_mode not in supported:
-                offered = ", ".join(repr(m) for m in supported) or "none"
-                raise ConfigurationError(
-                    f"generator {self.generator_cls.__name__} supports "
-                    f"batched modes {offered}, not {batched_mode!r}"
-                )
         store = coerce_store(checkpoint, every=checkpoint_every)
         if banks is not None and (store is not None or resume):
             raise ConfigurationError(
@@ -191,26 +155,6 @@ class IMAlgorithm:
             )
         if resume and store is None:
             raise ConfigurationError("resume=True requires a checkpoint path")
-        if shards is not None:
-            if not self.supports_shards:
-                raise ConfigurationError(
-                    f"{self.name} does not support the sharded worker "
-                    "runtime (shards=None required)"
-                )
-            if banks is not None:
-                raise ConfigurationError(
-                    "shards cannot be combined with a session bank "
-                    "provider; build the session with "
-                    "QuerySession(shards=...) instead"
-                )
-            if store is not None or resume:
-                raise ConfigurationError(
-                    "shards cannot be combined with checkpoint/resume: "
-                    "shard workers keep their own crash-recovery "
-                    "checkpoints (spill_dir)"
-                )
-        elif spill_dir is not None:
-            raise ConfigurationError("spill_dir requires shards")
         run_metrics = metrics if metrics is not None else MetricsRegistry()
         tracer = PhaseTracer(run_metrics) if trace else None
         control = RunControl(
@@ -224,7 +168,6 @@ class IMAlgorithm:
         self._control = control
         self._resume_state = None
         self._batch_size = int(batch_size)
-        self._batched_mode = batched_mode
         if resume and store.exists():
             meta, pools = store.load()
             self._validate_resume(meta, k, eps, delta)
@@ -239,20 +182,8 @@ class IMAlgorithm:
             self._resume_state = (meta, pools)
 
         rng = as_generator(seed)
-        own_pool = None
         if banks is not None:
             provider = banks
-        elif shards is not None:
-            from repro.rrsets.shardpool import ShardPool
-
-            if isinstance(shards, ShardPool):
-                pool = shards
-            else:
-                own_pool = pool = ShardPool(
-                    self.graph, int(shards), spill_dir=spill_dir,
-                    metrics=run_metrics,
-                )
-            provider = BankProvider(self.graph, rng=rng, shard_pool=pool)
         else:
             provider = BankProvider.transient(self.graph, rng)
         provider.begin_query(control)
@@ -276,13 +207,10 @@ class IMAlgorithm:
             )
         finally:
             provider.end_query()
-            if own_pool is not None:
-                own_pool.close()
             self._banks = None
             self._resume_state = None
             self._control = None
             self._batch_size = 1
-            self._batched_mode = None
         result.runtime_seconds = time.perf_counter() - begin
         if control.active or control.checkpoint is not None:
             result.extras.setdefault("runtime", control.snapshot())
@@ -305,8 +233,6 @@ class IMAlgorithm:
         if self._control is not None:
             self._control.adopt_generator(gen)
         gen.batch_size = self._batch_size
-        if self._batched_mode is not None:
-            gen.batched_mode = self._batched_mode
         return gen
 
     def _bank(self, role: str, *, stop_mask=None, reusable: bool = True):
@@ -322,7 +248,6 @@ class IMAlgorithm:
             stop_mask=stop_mask,
             reusable=reusable,
             batch_size=self._batch_size,
-            batched_mode=self._batched_mode,
         )
 
     def _check(self) -> None:

@@ -73,19 +73,6 @@ def _load(path: str, retries: int = 0) -> CSRGraph:
     return io.load_graph_auto(path, retries=retries)
 
 
-def _make_shard_pool(args, graph: CSRGraph, metrics):
-    """One warm :class:`ShardPool` shared by every query of a ``--ks`` run."""
-    if args.shards is None:
-        if args.spill_dir:
-            raise ReproError("--spill-dir requires --shards")
-        return None
-    from repro.rrsets.shardpool import ShardPool
-
-    return ShardPool(
-        graph, args.shards, spill_dir=args.spill_dir, metrics=metrics
-    )
-
-
 def _write_json(path: str, payload) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
@@ -223,13 +210,14 @@ def cmd_run(args) -> int:
                 "--ks is incompatible with --checkpoint/--resume/--report/"
                 "--trace-out; those artifacts describe a single run"
             )
+    # --ks already excludes --checkpoint/--resume, so a session (and the
+    # shard runtime behind one) never meets a run-level checkpoint.
     if args.reuse_pool and ks is None:
         raise ReproError("--reuse-pool requires --ks (a multi-query run)")
-    if args.reuse_pool and (args.checkpoint or args.resume):
+    if (args.shards is not None or args.spill_dir) and not args.reuse_pool:
         raise ReproError(
-            "--reuse-pool cannot be combined with --checkpoint/--resume: "
-            "sessions persist through QuerySession.save(), not run "
-            "checkpoints"
+            "--shards/--spill-dir require --reuse-pool: the shard workers "
+            "back a multi-query session (--ks ... --reuse-pool --shards S)"
         )
     graph = _load(args.graph, retries=args.load_retries)
     if args.weights:
@@ -250,7 +238,6 @@ def cmd_run(args) -> int:
         raise ReproError("--resume requires --checkpoint")
     if args.batch_size < 1:
         raise ReproError(f"--batch-size must be >= 1, got {args.batch_size}")
-    batched_mode = None if args.batched_mode == "auto" else args.batched_mode
     want_metrics = bool(args.metrics_out or args.report)
     want_trace = bool(args.trace_out or args.report)
     metrics = None
@@ -278,7 +265,6 @@ def cmd_run(args) -> int:
                             budget=make_budget(),
                             cancel=interrupt.token,
                             batch_size=args.batch_size,
-                            batched_mode=batched_mode,
                             metrics=metrics,
                         )
                         entry = _run_payload(result, args, graph)
@@ -299,29 +285,22 @@ def cmd_run(args) -> int:
                     session.close()
             else:
                 algo = get_algorithm(args.algorithm, graph, **kwargs)
-                pool = _make_shard_pool(args, graph, metrics)
-                try:
-                    for k in ks:
-                        result = algo.run(
-                            k,
-                            eps=args.eps,
-                            seed=args.seed,
-                            budget=make_budget(),
-                            cancel=interrupt.token,
-                            batch_size=args.batch_size,
-                            batched_mode=batched_mode,
-                            metrics=metrics,
-                            shards=pool,
-                        )
-                        entry = _run_payload(result, args, graph)
-                        entry["k"] = k
-                        queries.append(entry)
-                        if interrupt.token.cancelled:
-                            cancelled = True
-                            break
-                finally:
-                    if pool is not None:
-                        pool.close()
+                for k in ks:
+                    result = algo.run(
+                        k,
+                        eps=args.eps,
+                        seed=args.seed,
+                        budget=make_budget(),
+                        cancel=interrupt.token,
+                        batch_size=args.batch_size,
+                        metrics=metrics,
+                    )
+                    entry = _run_payload(result, args, graph)
+                    entry["k"] = k
+                    queries.append(entry)
+                    if interrupt.token.cancelled:
+                        cancelled = True
+                        break
                 session_block = {"reuse_pool": False}
         if args.metrics_out:
             _write_json(args.metrics_out, metrics.snapshot())
@@ -343,11 +322,8 @@ def cmd_run(args) -> int:
             checkpoint_every=args.checkpoint_every,
             resume=args.resume,
             batch_size=args.batch_size,
-            batched_mode=batched_mode,
             metrics=metrics,
             trace=want_trace,
-            shards=args.shards,
-            spill_dir=args.spill_dir,
         )
     if args.metrics_out:
         _write_json(args.metrics_out, metrics.snapshot())
@@ -721,20 +697,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="grow B RR sets per vectorized batch (1 = exact "
                         "sequential semantics, the default)")
     p.add_argument("--shards", type=int, default=None, metavar="S",
-                   help="run on a persistent pool of S shard workers "
-                        "(shared-memory graph, shard-resident RR banks, "
-                        "scatter-gather selection); incompatible with "
-                        "--checkpoint/--resume")
+                   help="back the --reuse-pool session with a persistent "
+                        "pool of S shard workers (shared-memory graph, "
+                        "shard-resident RR banks, scatter-gather selection)")
     p.add_argument("--spill-dir", default=None, metavar="DIR",
                    help="spill cold shard-resident RR pools (and shard "
                         "checkpoints) to this directory; requires --shards")
-    p.add_argument("--batched-mode", default="auto",
-                   choices=["auto", "ic", "subsim", "lt"],
-                   help="vectorized kernel for the batched engine: auto "
-                        "keeps each generator's native kernel; ic forces "
-                        "per-edge coins, subsim bucket-skipping, lt the "
-                        "backward live-edge walk (only meaningful with "
-                        "--batch-size > 1 or --shards)")
     p.add_argument("--metrics-out", default=None, metavar="PATH",
                    help="write the run's metrics-registry snapshot "
                         "(counters, gauges, histograms) as JSON")

@@ -9,7 +9,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Optional
 
 from repro.core.registry import get_algorithm
 from repro.core.results import IMResult
@@ -18,7 +18,6 @@ from repro.estimation.montecarlo import SpreadEstimate, estimate_spread
 from repro.graphs.csr import CSRGraph
 from repro.runtime.budget import Budget
 from repro.runtime.cancellation import CancellationToken
-from repro.utils.exceptions import ConfigurationError
 from repro.utils.rng import SeedLike
 
 
@@ -27,7 +26,6 @@ class InfluenceMaximizer:
 
     def __init__(self, graph: CSRGraph) -> None:
         self.graph = graph
-        self._sessions: Dict[Tuple[Any, ...], QuerySession] = {}
 
     def session(
         self,
@@ -42,7 +40,9 @@ class InfluenceMaximizer:
         Successive ``maximize`` calls on the session share its RR banks, so
         a later query whose schedule stops inside an already-materialised
         prefix generates (almost) nothing new.  ``byte_cap`` bounds the
-        banks' resident bytes (enforced between queries).
+        banks' resident bytes (enforced between queries).  This is the one
+        way to reuse RR sets across queries, and (with ``shards=``) to run
+        on the sharded worker runtime.
         """
         return QuerySession(
             self.graph,
@@ -66,10 +66,8 @@ class InfluenceMaximizer:
         resume: bool = False,
         fault_injector=None,
         batch_size: int = 1,
-        batched_mode: Optional[str] = None,
         metrics=None,
         trace: bool = False,
-        reuse_pool: bool = False,
         **algorithm_kwargs,
     ) -> IMResult:
         """Select ``k`` seeds with the named algorithm.
@@ -81,50 +79,14 @@ class InfluenceMaximizer:
         ignore them.
 
         ``budget``, ``cancel``, ``checkpoint``, ``checkpoint_every``,
-        ``resume``, ``fault_injector``, ``batch_size``,
-        ``batched_mode`` (override the vectorized kernel the batched
-        engine runs — ``"ic"``, ``"subsim"`` or ``"lt"``),
-        ``metrics`` (a
+        ``resume``, ``fault_injector``, ``batch_size``, ``metrics`` (a
         :class:`~repro.observability.registry.MetricsRegistry` to populate)
         and ``trace`` (enable phase tracing) are forwarded verbatim to
         :meth:`~repro.algorithms.base.IMAlgorithm.run` — see its docstring
         for the partial-result, resume and observability semantics.
-
-        ``reuse_pool=True`` routes the query through a cached
-        :meth:`session` (keyed by algorithm, seed and algorithm kwargs), so
-        repeated calls with different ``k`` share RR sets.  Run-level
-        checkpointing is a per-run durability story and cannot be combined
-        with it — persist the session itself instead.
+        Every call is a cold, independent run; repeated queries that
+        should share RR sets go through :meth:`session`.
         """
-        if reuse_pool:
-            if checkpoint is not None or resume:
-                raise ConfigurationError(
-                    "reuse_pool=True cannot be combined with run-level "
-                    "checkpoint/resume; use session().save() instead"
-                )
-            key = (
-                algorithm,
-                seed,
-                tuple(sorted(algorithm_kwargs.items(), key=lambda kv: kv[0])),
-            )
-            session = self._sessions.get(key)
-            if session is None:
-                session = self.session(
-                    algorithm, seed=seed, **algorithm_kwargs
-                )
-                self._sessions[key] = session
-            return session.maximize(
-                k,
-                eps=eps,
-                delta=delta,
-                budget=budget,
-                cancel=cancel,
-                fault_injector=fault_injector,
-                batch_size=batch_size,
-                batched_mode=batched_mode,
-                metrics=metrics,
-                trace=trace,
-            )
         algo = get_algorithm(algorithm, self.graph, **algorithm_kwargs)
         return algo.run(
             k,
@@ -138,7 +100,6 @@ class InfluenceMaximizer:
             resume=resume,
             fault_injector=fault_injector,
             batch_size=batch_size,
-            batched_mode=batched_mode,
             metrics=metrics,
             trace=trace,
         )
@@ -174,7 +135,6 @@ def maximize_influence(
     resume: bool = False,
     fault_injector=None,
     batch_size: int = 1,
-    batched_mode: Optional[str] = None,
     metrics=None,
     trace: bool = False,
     **algorithm_kwargs,
@@ -193,7 +153,6 @@ def maximize_influence(
         resume=resume,
         fault_injector=fault_injector,
         batch_size=batch_size,
-        batched_mode=batched_mode,
         metrics=metrics,
         trace=trace,
         **algorithm_kwargs,

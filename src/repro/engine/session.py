@@ -83,8 +83,9 @@ class BankProvider:
         self.byte_cap = byte_cap
         self.metrics = session_metrics
         self.entropy = entropy
-        #: when set, every bank this provider hands out is shard-resident
-        #: (a :class:`~repro.engine.shards.ShardedRRBank` over this pool)
+        #: session mode only: when set, every bank this provider hands out
+        #: is shard-resident (a :class:`~repro.engine.shards.ShardedRRBank`
+        #: over this pool)
         self.shard_pool = shard_pool
         self._shared_rng = rng
         self._banks: Dict[str, Any] = {}
@@ -132,7 +133,6 @@ class BankProvider:
         stop_mask: Optional[np.ndarray] = None,
         reusable: bool = True,
         batch_size: int = 1,
-        batched_mode: Optional[str] = None,
     ) -> RRBank:
         """The bank serving ``role`` for the current query.
 
@@ -144,12 +144,9 @@ class BankProvider:
         identically.
         """
         if self._shared_rng is not None:
-            gen = make_generator()
-            if self.shard_pool is not None:
-                return self._sharded_transient(role, gen, stop_mask)
             return RRBank(
                 self.graph,
-                gen,
+                make_generator(),
                 self._shared_rng,
                 role=role,
                 stop_mask=stop_mask,
@@ -194,12 +191,10 @@ class BankProvider:
                 self._banks[role] = bank
         else:
             # Cached bank: rebind its generator to this query's control and
-            # batching knobs (the generator object itself persists so its
+            # batch size (the generator object itself persists so its
             # cumulative counters keep matching the recorded marks).
             gen = bank.generator
             gen.batch_size = batch_size
-            if batched_mode is not None:
-                gen.batched_mode = batched_mode
             if self._control is not None:
                 self._control.adopt_generator(gen)
         sinks: List[MetricsRegistry] = []
@@ -212,28 +207,6 @@ class BankProvider:
         bank.begin_query(sinks)
         self._active.append(bank)
         return bank
-
-    def _sharded_transient(self, role, gen, stop_mask):
-        """A fresh single-run sharded bank keyed by one draw of run entropy.
-
-        The draw is accounted as one RNG draw of the bank's generator, so
-        a sharded run's RNG schedule is a deterministic function of
-        (seed, bank creation order).
-        """
-        from repro.engine.shards import ShardedRRBank
-
-        gen.counters.rng_draws += 1
-        entropy = int(self._shared_rng.integers(0, 2**63 - 1))
-        self.shard_pool.reset_role(role)
-        return ShardedRRBank(
-            self.graph,
-            gen,
-            self.shard_pool,
-            role=role,
-            entropy=entropy,
-            stop_mask=stop_mask,
-            reusable=False,
-        )
 
     def _stream(self, role: str) -> np.random.Generator:
         # The stream depends only on (entropy, role) — not on creation
@@ -280,6 +253,11 @@ class QuerySession:
     ``(seed, role)``, each query's seeds and counters are bit-identical to
     what a cold session with the same seed would return for that query
     alone (sequential generation; see ``docs/ARCHITECTURE.md``).
+
+    ``shards`` (with an optional ``spill_dir``) backs every bank with a
+    persistent :class:`~repro.rrsets.shardpool.ShardPool` — the one entry
+    point to the sharded worker runtime.  Algorithms whose
+    ``supports_shards`` is False are refused before any worker starts.
     """
 
     def __init__(
@@ -300,8 +278,17 @@ class QuerySession:
         self.metrics = MetricsRegistry()
         self._shard_pool = None
         if shards is not None:
+            from repro.core.registry import get_algorithm
             from repro.rrsets.shardpool import ShardPool
 
+            # Refuse an algorithm the shard runtime cannot serve before a
+            # single worker process starts.
+            algo = get_algorithm(algorithm, graph, **self.algorithm_kwargs)
+            if not algo.supports_shards:
+                raise ConfigurationError(
+                    f"{algo.name} does not support the sharded worker "
+                    "runtime; build the session with shards=None"
+                )
             # The session owns the worker runtime: one graph share, one set
             # of resident workers, reused by every query it serves.
             self._shard_pool = ShardPool(
@@ -349,7 +336,6 @@ class QuerySession:
         cancel: Optional[Any] = None,
         fault_injector: Optional[Any] = None,
         batch_size: int = 1,
-        batched_mode: Optional[str] = None,
         metrics: Optional[MetricsRegistry] = None,
         trace: bool = False,
     ) -> Any:
@@ -376,7 +362,6 @@ class QuerySession:
             cancel=cancel,
             fault_injector=fault_injector,
             batch_size=batch_size,
-            batched_mode=batched_mode,
             # Default the run registry to the session's so per-query
             # observability (coverage counters, rr_pool_bytes)
             # survives the query and shows up in serving /metrics.

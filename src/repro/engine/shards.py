@@ -246,7 +246,6 @@ class ShardedRRBank:
                 counts,
                 seeds,
                 generator_cls=type(gen),
-                batched_mode=gen.batched_mode,
                 batch_size=max(2, int(gen.batch_size or 1)),
                 stop_mask=mask,
                 want_metrics=want_metrics,
@@ -273,7 +272,7 @@ class ShardedRRBank:
     def take(self, index: int) -> np.ndarray:
         raise ConfigurationError(
             "cursor-style take() is not available on sharded banks; "
-            "run this algorithm with shards=None"
+            "serve this algorithm from a QuerySession with shards=None"
         )
 
     def view(self, theta: int) -> ShardedPoolView:

@@ -388,7 +388,6 @@ class RRBank:
         cls = type(self.generator)
         mode = getattr(self.generator, "general_mode", None)
         gen = cls(self.graph, mode) if mode is not None else cls(self.graph)
-        gen.batched_mode = self.generator.batched_mode
         gen.batch_size = self.generator.batch_size
         return gen
 

@@ -71,13 +71,10 @@ class RRGenerator:
     #: batched-engine kernel for this model: ``"ic"`` (vectorized coin
     #: flips), ``"subsim"`` (vectorized geometric/segment skipping),
     #: ``"lt"`` (level-synchronous live-edge walks), or ``None`` — no
-    #: kernel, ``generate_batch`` falls back to the sequential loop.  An
-    #: instance-level assignment overrides the class default (the
-    #: ``batched_mode`` run parameter threads through here).
+    #: kernel, ``generate_batch`` falls back to the sequential loop.  The
+    #: kernel belongs to the generator: the vanilla and SUBSIM samplers
+    #: (Algorithms 2 and 3) are distinct generators, picked by name.
     batched_mode: Optional[str] = None
-    #: the kernels this generator's model can legally run; overrides
-    #: outside this tuple are rejected by the engine and by ``run()``.
-    supported_batched_modes: tuple = ()
 
     def __init__(self, graph: CSRGraph) -> None:
         self.graph = graph

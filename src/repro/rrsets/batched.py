@@ -9,9 +9,10 @@ level:
 
 * the in-adjacency of every frontier node of every set is gathered with a
   single ``np.repeat``-based CSR expansion;
-* **IC kernel** (``batched_mode="ic"``): one vectorized coin flip per
-  gathered edge (Algorithm 2, batched);
-* **SUBSIM kernel** (``batched_mode="subsim"``): nodes with uniform
+* **IC kernel** (``"ic"``, :class:`~repro.rrsets.vanilla.VanillaICGenerator`):
+  one vectorized coin flip per gathered edge (Algorithm 2, batched);
+* **SUBSIM kernel** (``"subsim"``,
+  :class:`~repro.rrsets.subsim.SubsimICGenerator`): nodes with uniform
   in-probability take vectorized geometric jumps (Algorithm 3, batched) —
   the same draw-per-landing schedule as the sequential sampler — while
   skewed nodes run the *sorted-segment* kernel: their positional buckets
@@ -19,11 +20,11 @@ level:
   :func:`repro.sampling.precompute.sorted_segments`) take geometric skips at
   the bucket ceiling with vectorized thin-by-``p/q`` acceptance, the exact
   process of the sequential ``_scan_sorted_block``;
-* **LT kernel** (``batched_mode="lt"``): level-synchronous backward
-  live-edge walks — every live walk picks its single live in-edge (or the
-  "no live edge" outcome) with one flat Walker alias lookup per level
-  (:func:`repro.sampling.precompute.lt_alias_tables`), two draws per walk
-  per level regardless of degree;
+* **LT kernel** (``"lt"``, :class:`~repro.rrsets.lt.LTGenerator`):
+  level-synchronous backward live-edge walks — every live walk picks its
+  single live in-edge (or the "no live edge" outcome) with one flat Walker
+  alias lookup per level (:func:`repro.sampling.precompute.lt_alias_tables`),
+  two draws per walk per level regardless of degree;
 * per-set visited state lives in a ``(B, ceil(n/64))`` ``uint64`` bitmap;
   candidate activations are deduplicated and test-and-set in bulk;
 * a boolean ``stop_mask`` (HIST's sentinel early stop, Algorithm 5) is
@@ -243,19 +244,12 @@ def _resolve_mode(gen) -> str:
             f"generator {gen.name!r} requested unknown batched mode "
             f"{mode!r}; supported batched modes are {known}"
         )
-    supported = getattr(gen, "supported_batched_modes", BATCHED_MODES)
-    if mode not in supported:
-        offered = ", ".join(repr(m) for m in supported) or "none"
-        raise ValueError(
-            f"generator {gen.name!r} supports batched modes {offered}, "
-            f"not {mode!r} (known kernels: {known})"
-        )
     if mode in ("ic", "subsim") and gen.graph.weight_model.startswith("lt:"):
         raise GraphFormatError(
             f"batched mode {mode!r} samples the IC model, but the graph's "
             f"weights are LT-normalized "
             f"(weight_model={gen.graph.weight_model!r}); use an LT "
-            "generator (batched_mode='lt') or reweight the graph for IC"
+            "generator (the 'lt' kernel) or reweight the graph for IC"
         )
     return mode
 

@@ -32,7 +32,6 @@ class LTGenerator(RRGenerator):
 
     name = "lt"
     batched_mode = "lt"
-    supported_batched_modes = ("lt",)
 
     def __init__(self, graph) -> None:
         super().__init__(graph)

@@ -166,7 +166,7 @@ class _ShardWorker:
             self.deltas.append(payload)
         for role, payload in meta["roles"].items():
             state = self._role(
-                role, _import_class(payload["generator_cls"]), None, 1
+                role, _import_class(payload["generator_cls"]), 1
             )
             state.pool = pools[role]
             state.generator.counters = counters_from_dict(payload["counters"])
@@ -214,19 +214,14 @@ class _ShardWorker:
         self.checkpoint_seq = self.seq
 
     # -- role plumbing -------------------------------------------------
-    def _role(
-        self, role: str, generator_cls, batched_mode, batch_size
-    ) -> _RoleState:
+    def _role(self, role: str, generator_cls, batch_size) -> _RoleState:
         state = self.roles.get(role)
         if state is None:
             state = _RoleState(
                 RRCollection(self.graph.n), generator_cls(self.graph)
             )
             self.roles[role] = state
-        gen = state.generator
-        if batched_mode is not None:
-            gen.batched_mode = batched_mode
-        gen.batch_size = int(batch_size)
+        state.generator.batch_size = int(batch_size)
         return state
 
     def _view(self, role: str, limit: int):
@@ -289,7 +284,6 @@ class _ShardWorker:
         state = self._role(
             payload["role"],
             payload["generator_cls"],
-            payload.get("batched_mode"),
             payload.get("batch_size", 1),
         )
         gen = state.generator
@@ -353,7 +347,7 @@ class _ShardWorker:
         }
 
     def _cmd_adopt(self, payload):
-        state = self._role(payload["role"], payload["generator_cls"], None, 1)
+        state = self._role(payload["role"], payload["generator_cls"], 1)
         nodes = payload["nodes"]
         sizes = payload["sizes"]
         if len(sizes):
@@ -381,7 +375,6 @@ class _ShardWorker:
             old = state.generator
             gen = type(old)(self.graph)
             gen.counters = old.counters
-            gen.batched_mode = old.batched_mode
             gen.batch_size = old.batch_size
             state.generator = gen
         return {
@@ -401,7 +394,6 @@ class _ShardWorker:
         num_resampled = 0
         if len(dirty):
             repair_gen = type(state.generator)(self.graph)
-            repair_gen.batched_mode = state.generator.batched_mode
             ids, chunks, sizes, uncovered = replay_units(
                 state.journal, dirty, repair_gen
             )
@@ -954,7 +946,6 @@ class ShardPool:
         seeds: Sequence[np.random.SeedSequence],
         *,
         generator_cls,
-        batched_mode: Optional[str],
         batch_size: int,
         stop_mask: Optional[np.ndarray] = None,
         want_metrics: bool = False,
@@ -972,7 +963,6 @@ class ShardPool:
                 "count": int(counts[rank]),
                 "seed": seeds[rank],
                 "generator_cls": generator_cls,
-                "batched_mode": batched_mode,
                 "batch_size": int(batch_size),
                 "stop_mask": stop_mask,
                 "want_metrics": bool(want_metrics),

@@ -50,7 +50,6 @@ class SubsimICGenerator(RRGenerator):
 
     name = "subsim"
     batched_mode = "subsim"
-    supported_batched_modes = ("subsim", "ic")
 
     def __init__(self, graph: CSRGraph, general_mode: str = "sorted") -> None:
         super().__init__(graph)

@@ -28,7 +28,6 @@ class VanillaICGenerator(RRGenerator):
 
     name = "vanilla"
     batched_mode = "ic"
-    supported_batched_modes = ("ic",)
 
     def generate(
         self,

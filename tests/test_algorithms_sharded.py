@@ -1,20 +1,21 @@
-"""Running algorithms and sessions on the persistent shard runtime.
+"""Running algorithms on the persistent shard runtime.
 
-End-to-end checks that ``run(shards=...)`` and ``QuerySession(shards=...)``
-are deterministic, reuse the warm pool across queries, and reject the
-configurations the shard runtime cannot honor.
+The shard runtime is reached only through ``QuerySession(shards=...)``.
+End-to-end checks that sharded sessions are deterministic, reuse the warm
+pool across queries, and refuse the algorithms and configurations the
+shard runtime cannot honor before any worker starts.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import multiprocessing
+
 import pytest
 
-from repro.core.registry import get_algorithm
+from repro.core.registry import available_algorithms, get_algorithm
 from repro.engine.session import QuerySession
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.weights import wc_weights
-from repro.rrsets.shardpool import ShardPool
 from repro.runtime import Budget
 from repro.utils.exceptions import ConfigurationError
 
@@ -24,6 +25,20 @@ def graph():
     return wc_weights(erdos_renyi(200, 4.0, seed=17))
 
 
+def _unshardable_algorithms():
+    probe = wc_weights(erdos_renyi(10, 2.0, seed=1))
+    return [
+        name
+        for name in available_algorithms()
+        if not get_algorithm(name, probe).supports_shards
+    ]
+
+
+def _sharded_query(graph, name, k, eps, *, seed, budget=None, **kwargs):
+    with QuerySession(graph, name, seed=seed, shards=2, **kwargs) as session:
+        return session.maximize(k, eps=eps, batch_size=16, budget=budget)
+
+
 class TestRunWithShards:
     @pytest.mark.parametrize(
         "name", ["opim-c", "subsim", "hist+subsim", "opim-c-lt"]
@@ -31,67 +46,36 @@ class TestRunWithShards:
     def test_run_to_run_deterministic(self, graph, name):
         results = []
         for _ in range(2):
-            algo = get_algorithm(name, graph)
-            result = algo.run(
-                5, eps=0.4, seed=3, shards=2, batch_size=16
-            )
+            result = _sharded_query(graph, name, 5, 0.4, seed=3)
             results.append(
                 (result.seeds, result.num_rr_sets, result.status)
             )
         assert results[0] == results[1]
         assert results[0][2] == "complete"
 
-    def test_existing_pool_reused_across_runs(self, graph):
-        with ShardPool(graph, 2) as pool:
-            first = get_algorithm("subsim", graph).run(
-                4, eps=0.4, seed=3, shards=pool, batch_size=16
-            )
-            second = get_algorithm("subsim", graph).run(
-                4, eps=0.4, seed=3, shards=pool, batch_size=16
-            )
-            assert first.seeds == second.seeds
-            # The pool survives the runs (they did not close it).
-            assert pool.stats() is not None
-
     def test_rr_budget_enforced_at_request_boundary(self, graph):
-        result = get_algorithm("subsim", graph).run(
-            5, eps=0.1, seed=3, shards=2, batch_size=16,
-            budget=Budget(max_rr_sets=150),
+        result = _sharded_query(
+            graph, "subsim", 5, 0.1, seed=3, budget=Budget(max_rr_sets=150)
         )
         assert result.status == "partial"
         assert result.stop_reason == "num_rr_sets"
         assert 0 < result.num_rr_sets <= 150
 
     def test_lt_model_runs_sharded(self, graph):
-        result = get_algorithm("imm-lt", graph, max_rr_sets=2000).run(
-            3, eps=0.5, seed=9, shards=2, batch_size=16
+        result = _sharded_query(
+            graph, "imm-lt", 3, 0.5, seed=9, max_rr_sets=2000
         )
         assert result.status in ("complete", "partial")
         assert len(result.seeds) == 3
 
 
 class TestValidation:
-    def test_spill_dir_requires_shards(self, graph, tmp_path):
-        with pytest.raises(ConfigurationError):
-            get_algorithm("subsim", graph).run(
-                3, eps=0.4, seed=1, spill_dir=str(tmp_path)
-            )
-
-    def test_checkpoint_and_shards_conflict(self, graph, tmp_path):
-        with pytest.raises(ConfigurationError):
-            get_algorithm("subsim", graph).run(
-                3, eps=0.4, seed=1, shards=2,
-                checkpoint=str(tmp_path / "c.npz"),
-            )
-
-    def test_cursor_algorithms_reject_shards(self, graph):
-        for name in ("ssa", "borgs-ris"):
-            with pytest.raises(ConfigurationError):
-                get_algorithm(name, graph).run(3, eps=0.4, seed=1, shards=2)
-
-    def test_non_rr_algorithms_reject_shards(self, graph):
-        with pytest.raises(ConfigurationError):
-            get_algorithm("degree", graph).run(3, seed=1, shards=2)
+    @pytest.mark.parametrize("name", _unshardable_algorithms())
+    def test_unshardable_algorithms_fail_before_spawning(self, graph, name):
+        before = multiprocessing.active_children()
+        with pytest.raises(ConfigurationError, match="shards=None"):
+            QuerySession(graph, name, seed=1, shards=2)
+        assert multiprocessing.active_children() == before
 
 
 class TestShardedSession:

@@ -354,30 +354,50 @@ class TestServeCli:
 
 
 class TestShardsFlag:
+    """``--shards`` backs a ``--ks ... --reuse-pool`` session."""
+
     def test_run_with_shards(self, weighted_npz, capsys):
         rc = main([
-            "run", weighted_npz, "--algorithm", "subsim", "--k", "3",
-            "--eps", "0.4", "--seed", "3", "--shards", "2",
+            "run", weighted_npz, "--algorithm", "subsim", "--ks", "3",
+            "--reuse-pool", "--eps", "0.4", "--seed", "3", "--shards", "2",
             "--batch-size", "16",
         ])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["status"] == "complete"
-        assert len(payload["seeds"]) == 3
+        (query,) = payload["queries"]
+        assert query["status"] == "complete"
+        assert len(query["seeds"]) == 3
 
     def test_ks_share_one_warm_pool(self, weighted_npz, capsys):
         rc = main([
             "run", weighted_npz, "--algorithm", "subsim",
-            "--ks", "2,3", "--eps", "0.4", "--seed", "3",
+            "--ks", "2,3", "--reuse-pool", "--eps", "0.4", "--seed", "3",
             "--shards", "2", "--batch-size", "16",
         ])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert [q["k"] for q in payload["queries"]] == [2, 3]
+        assert payload["queries"][1]["session"]["sets_reused"] > 0
+
+    def test_shards_without_reuse_pool_rejected(self, weighted_npz, capsys):
+        rc = main([
+            "run", weighted_npz, "--algorithm", "subsim", "--ks", "2,3",
+            "--seed", "3", "--shards", "2",
+        ])
+        assert rc == 2
+        assert "--reuse-pool" in capsys.readouterr().err
+
+    def test_unshardable_algorithm_rejected(self, weighted_npz, capsys):
+        rc = main([
+            "run", weighted_npz, "--algorithm", "ssa", "--ks", "2",
+            "--reuse-pool", "--seed", "3", "--shards", "2",
+        ])
+        assert rc == 2
+        assert "shards=None" in capsys.readouterr().err
 
     def test_spill_dir_without_shards_rejected(self, weighted_npz, capsys):
         rc = main([
-            "run", weighted_npz, "--k", "3", "--seed", "1",
+            "run", weighted_npz, "--ks", "3", "--reuse-pool", "--seed", "1",
             "--spill-dir", "/tmp/nope",
         ])
         assert rc == 2

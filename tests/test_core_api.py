@@ -99,23 +99,12 @@ class TestFacadeSessions:
         assert len(session.maximize(3, eps=0.4).seeds) == 3
 
     def test_reuse_pool_shares_sets_across_calls(self, wc_graph):
-        maximizer = InfluenceMaximizer(wc_graph)
-        first = maximizer.maximize(
-            6, algorithm="subsim", eps=0.3, seed=9, reuse_pool=True
-        )
-        second = maximizer.maximize(
-            3, algorithm="subsim", eps=0.3, seed=9, reuse_pool=True
-        )
+        session = InfluenceMaximizer(wc_graph).session("subsim", seed=9)
+        first = session.maximize(6, eps=0.3)
+        second = session.maximize(3, eps=0.3)
         assert first.extras["session"]["query_index"] == 1
         assert second.extras["session"]["query_index"] == 2
         assert second.extras["session"]["sets_reused"] > 0
-
-    def test_reuse_pool_rejects_run_checkpoints(self, wc_graph, tmp_path):
-        with pytest.raises(ConfigurationError):
-            InfluenceMaximizer(wc_graph).maximize(
-                3, algorithm="subsim", seed=0, reuse_pool=True,
-                checkpoint=str(tmp_path / "c.npz"),
-            )
 
 
 class TestEvaluateModels:

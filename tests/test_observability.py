@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro.core.registry import get_algorithm
+from repro.engine.session import QuerySession
 from repro.observability import (
     NULL_TRACER,
     HistogramSketch,
@@ -227,11 +228,11 @@ class TestGeneratorIntegration:
 
     @staticmethod
     def _sharded_snapshot(graph):
-        reg = MetricsRegistry()
-        result = get_algorithm("opim-c", graph).run(
-            5, eps=0.4, seed=3, shards=2, batch_size=32, metrics=reg
-        )
-        return result, reg.snapshot()
+        # The session registry collects the query's counters and the
+        # shard pool's own shardpool.* counters alike.
+        with QuerySession(graph, "opim-c", seed=3, shards=2) as session:
+            result = session.maximize(5, eps=0.4, batch_size=32)
+            return result, session.metrics.snapshot()
 
     def test_shard_pool_merges_child_metrics(self, wc_graph):
         result, snapshot = self._sharded_snapshot(wc_graph)

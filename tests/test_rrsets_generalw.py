@@ -27,11 +27,7 @@ from repro.sampling.precompute import (
     sorted_segments,
     uniform_arrays,
 )
-from repro.utils.exceptions import (
-    ConfigurationError,
-    ExecutionInterrupted,
-    GraphFormatError,
-)
+from repro.utils.exceptions import ExecutionInterrupted, GraphFormatError
 
 scipy_stats = pytest.importorskip("scipy.stats")
 
@@ -211,35 +207,17 @@ class TestModeValidation:
             with pytest.raises(GraphFormatError, match="LT-normalized"):
                 gen.generate_batch(np.random.default_rng(1), 4)
 
-    def test_run_override_must_be_supported(self, wc_graph):
-        from repro.algorithms.opimc import OPIMC
-
-        algo = OPIMC(wc_graph, generator_cls=SubsimICGenerator)
-        with pytest.raises(ConfigurationError, match="supports"):
-            algo.run(3, eps=0.4, seed=0, batch_size=32, batched_mode="lt")
-        with pytest.raises(ConfigurationError, match="must be one of"):
-            algo.run(3, eps=0.4, seed=0, batch_size=32, batched_mode="nope")
-
-    def test_run_override_applies_and_resets(self, wc_graph):
-        from repro.algorithms.opimc import OPIMC
-
-        algo = OPIMC(wc_graph, generator_cls=SubsimICGenerator)
-        result = algo.run(3, eps=0.4, seed=0, batch_size=64,
-                          batched_mode="ic")
-        assert len(result.seeds) == 3
-        assert algo._batched_mode is None
-
-    def test_subsim_ic_override_same_distribution(self, skewed_graph):
-        # SUBSIM's "ic" fallback kernel flips per-edge coins; sizes must
-        # match the native skipping kernel distributionally.
+    def test_subsim_kernel_matches_vanilla_batched_distribution(
+        self, skewed_graph
+    ):
+        # The kernel belongs to the generator: batched SUBSIM (geometric
+        # and sorted-segment skipping) and batched vanilla (per-edge
+        # coins) must sample the same RR-set size distribution.
         bat, _ = _sizes(skewed_graph, SubsimICGenerator, 1000, seed=41,
                         batch_size=128)
-        gen = SubsimICGenerator(skewed_graph)
-        gen.batch_size = 128
-        gen.batched_mode = "ic"
-        pool = RRCollection(skewed_graph.n)
-        pool.extend(1000, gen, np.random.default_rng(4101))
-        stat = scipy_stats.ks_2samp(bat.set_sizes(), pool.set_sizes())
+        ref, _ = _sizes(skewed_graph, VanillaICGenerator, 1000, seed=4101,
+                        batch_size=128)
+        stat = scipy_stats.ks_2samp(bat.set_sizes(), ref.set_sizes())
         assert stat.pvalue > 1e-3
 
 

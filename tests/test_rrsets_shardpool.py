@@ -38,7 +38,6 @@ def _generate(pool, role="r", count=120, req=0):
         counts,
         seeds,
         generator_cls=SubsimICGenerator,
-        batched_mode=None,
         batch_size=16,
     )
     return counts
@@ -82,8 +81,7 @@ class TestDeterminism:
             ]
             replies = pool.generate(
                 "r", counts, seeds,
-                generator_cls=SubsimICGenerator,
-                batched_mode=None, batch_size=4,
+                generator_cls=SubsimICGenerator, batch_size=4,
             )
             assert [r["num_rr"] for r in replies] == counts
 
