@@ -1,14 +1,13 @@
-"""Micro-benchmarks: exact-decremental greedy vs CELF lazy greedy.
+"""Micro-benchmarks: exact-decremental greedy with and without Eq. 2.
 
-Quantifies the design note in `repro/coverage/celf.py`: which selection
-strategy wins on realistic RR pools (many small sets, heavy-tailed node
-coverage).
+Times `repro.coverage.greedy.max_coverage_greedy` on a realistic RR pool
+(many small sets, heavy-tailed node coverage), once bare and once with
+the per-prefix Eq. 2 upper-bound tracking the stopping rules need.
 """
 
 import numpy as np
 import pytest
 
-from repro.coverage.celf import celf_max_coverage
 from repro.coverage.greedy import max_coverage_greedy
 from repro.experiments.workloads import make_dataset
 from repro.graphs.weights import wc_weights
@@ -36,7 +35,3 @@ def test_micro_greedy_decremental_with_eq2(benchmark, pool):
     result = benchmark(max_coverage_greedy, pool, 50)
     assert result.upper_bound_coverage >= result.coverage
 
-
-def test_micro_greedy_celf(benchmark, pool):
-    result = benchmark(celf_max_coverage, pool, 50)
-    assert len(result.seeds) == 50

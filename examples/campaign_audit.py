@@ -15,7 +15,7 @@ questions remain:
 Run:  python examples/campaign_audit.py
 """
 
-from repro import maximize_influence, preferential_attachment, wc_weights
+from repro import InfluenceMaximizer, preferential_attachment, wc_weights
 from repro.core import certify_result
 from repro.estimation import (
     attribution_table,
@@ -33,7 +33,9 @@ def main() -> None:
     graph = wc_weights(
         preferential_attachment(4000, 5, seed=17, reciprocal=0.3)
     )
-    plan = maximize_influence(graph, K, algorithm="hist+subsim", eps=0.15, seed=3)
+    plan = InfluenceMaximizer(graph).maximize(
+        K, algorithm="hist+subsim", eps=0.15, seed=3
+    )
     print(f"campaign plan: seeds {plan.seeds} "
           f"(selected in {plan.runtime_seconds:.2f}s)\n")
 

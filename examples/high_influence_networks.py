@@ -11,7 +11,7 @@ same (1 - 1/e - eps) guarantee.
 Run:  python examples/high_influence_networks.py
 """
 
-from repro import maximize_influence, preferential_attachment
+from repro import InfluenceMaximizer, preferential_attachment
 from repro.experiments import average_rr_size, calibrate_wc_variant
 from repro.experiments.reporting import render_table
 
@@ -28,9 +28,10 @@ def main() -> None:
         f"{achieved:.0f} nodes (~{achieved / base.n:.0%} of the network)\n"
     )
 
+    maximizer = InfluenceMaximizer(graph)
     rows = []
     for algorithm in ("opim-c", "hist", "hist+subsim"):
-        result = maximize_influence(graph, K, algorithm=algorithm, eps=EPS, seed=9)
+        result = maximizer.maximize(K, algorithm=algorithm, eps=EPS, seed=9)
         rows.append(
             {
                 "algorithm": algorithm,

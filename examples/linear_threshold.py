@@ -15,10 +15,10 @@ Run:  python examples/linear_threshold.py
 """
 
 from repro import (
+    InfluenceMaximizer,
     estimate_spread,
     exponential_weights,
     lt_normalized_weights,
-    maximize_influence,
     preferential_attachment,
 )
 from repro.experiments.reporting import render_table
@@ -30,9 +30,10 @@ def main() -> None:
     print(f"LT network: {graph.n} nodes, max incoming weight sum "
           f"{graph.in_prob_sums.max():.3f} (must be <= 1)\n")
 
+    maximizer = InfluenceMaximizer(graph)
     rows = []
     for algorithm in ("opim-c-lt", "hist-lt", "degree"):
-        result = maximize_influence(graph, 25, algorithm=algorithm, eps=0.2, seed=4)
+        result = maximizer.maximize(25, algorithm=algorithm, eps=0.2, seed=4)
         spread = estimate_spread(
             graph, result.seeds, model="lt", num_simulations=400, seed=1
         )

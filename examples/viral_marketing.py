@@ -12,9 +12,9 @@ Run:  python examples/viral_marketing.py
 """
 
 from repro import (
+    InfluenceMaximizer,
     available_algorithms,
     estimate_spread,
-    maximize_influence,
     stochastic_block_model,
     wc_weights,
 )
@@ -36,10 +36,11 @@ def main() -> None:
     print(f"customer graph: {graph.n} customers, {graph.m} influence edges")
     print(f"available algorithms: {available_algorithms()}\n")
 
+    maximizer = InfluenceMaximizer(graph)
     rows = []
     for algorithm in CONTENDERS:
-        result = maximize_influence(
-            graph, BUDGET, algorithm=algorithm, eps=EPS, seed=3
+        result = maximizer.maximize(
+            BUDGET, algorithm=algorithm, eps=EPS, seed=3
         )
         spread = estimate_spread(
             graph, result.seeds, num_simulations=400, seed=1

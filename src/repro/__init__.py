@@ -14,7 +14,7 @@ Quickstart::
     print(result.seeds, result.runtime_seconds)
 """
 
-from repro.core.api import InfluenceMaximizer, maximize_influence
+from repro.core.api import InfluenceMaximizer
 from repro.core.registry import (
     available_algorithms,
     get_algorithm,
@@ -104,7 +104,6 @@ __all__ = [
     "load_npz",
     "load_npz_with_retry",
     "lt_normalized_weights",
-    "maximize_influence",
     "preferential_attachment",
     "register_algorithm",
     "save_edge_list",

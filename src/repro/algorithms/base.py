@@ -17,11 +17,7 @@ from repro.rrsets.base import RRGenerator
 from repro.rrsets.vanilla import VanillaICGenerator
 from repro.runtime.budget import Budget
 from repro.runtime.cancellation import CancellationToken
-from repro.runtime.checkpoint import (
-    CheckpointStore,
-    coerce_store,
-    counters_from_dict,
-)
+from repro.runtime.checkpoint import CheckpointStore, coerce_store
 from repro.runtime.control import RunControl
 from repro.runtime.faults import FaultInjector
 from repro.utils.exceptions import (
@@ -323,12 +319,6 @@ class IMAlgorithm:
             return payload, pools
 
         return control.maybe_checkpoint(builder)
-
-    @staticmethod
-    def _restore_generator(gen: RRGenerator, counters_payload: dict) -> None:
-        """Load checkpointed counters into a fresh generator."""
-        gen.counters = counters_from_dict(counters_payload)
-        gen._reported_edges = gen.counters.edges_examined
 
     @staticmethod
     def _restore_rng(rng: np.random.Generator, state) -> None:

@@ -45,6 +45,7 @@ from repro.coverage.greedy import max_coverage_greedy
 from repro.engine.schedule import (
     DoublingResume,
     SamplingSchedule,
+    fallback_seeds,
     run_doubling,
 )
 from repro.engine.session import BankProvider
@@ -240,14 +241,9 @@ class SentinelSetPhase:
                     theta *= 2
                     view1 = bank1.ensure(theta)
         except ExecutionInterrupted as exc:
-            if greedy is not None:
-                fallback = greedy.seeds[:k]
-            elif bank1.pool.num_rr:
-                fallback = max_coverage_greedy(
-                    bank1.pool, select=k, topk=k, out_degree=out_deg
-                ).seeds
-            else:
-                fallback = []
+            fallback = fallback_seeds(
+                bank1.pool, k, last=greedy, topk=k, out_degree=out_deg
+            )
             return SentinelResult(
                 seeds=candidate_seeds,
                 b=candidate_b,
@@ -459,16 +455,15 @@ class IMSentinelPhase:
         seeds, lower, upper, iterations, generators, reason,
     ) -> IMSentinelResult:
         """Best-so-far seeds after an interrupt inside the phase."""
-        if len(seeds) <= b and pool1.num_rr:
-            greedy = max_coverage_greedy(
+        if len(seeds) <= b:
+            seeds = list(sentinel_seeds) + fallback_seeds(
                 pool1,
-                select=k - b,
+                k - b,
                 topk=k,
                 out_degree=out_deg,
                 initial_covered=pool1.covered_mask(sentinel_seeds),
                 excluded=sentinel_seeds,
             )
-            seeds = list(sentinel_seeds) + greedy.seeds
         gens = tuple(generators)
         sets = sum(g.counters.sets_generated for g in gens)
         nodes = sum(g.counters.nodes_added for g in gens)

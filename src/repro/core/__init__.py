@@ -1,6 +1,6 @@
 """Public facade: one entry point over every IM algorithm in the library."""
 
-from repro.core.api import InfluenceMaximizer, maximize_influence
+from repro.core.api import InfluenceMaximizer
 from repro.core.certify import Certificate, certify_result
 from repro.core.registry import (
     available_algorithms,
@@ -18,7 +18,6 @@ __all__ = [
     "certify_result",
     "get_algorithm",
     "load_result",
-    "maximize_influence",
     "register_algorithm",
     "save_result",
 ]

@@ -119,41 +119,3 @@ class InfluenceMaximizer:
             num_simulations=num_simulations,
             seed=seed,
         )
-
-
-def maximize_influence(
-    graph: CSRGraph,
-    k: int,
-    algorithm: str = "hist+subsim",
-    eps: float = 0.1,
-    delta: Optional[float] = None,
-    seed: SeedLike = None,
-    budget: Optional[Budget] = None,
-    cancel: Optional[CancellationToken] = None,
-    checkpoint=None,
-    checkpoint_every: int = 1,
-    resume: bool = False,
-    fault_injector=None,
-    batch_size: int = 1,
-    metrics=None,
-    trace: bool = False,
-    **algorithm_kwargs,
-) -> IMResult:
-    """Functional one-shot spelling of :meth:`InfluenceMaximizer.maximize`."""
-    return InfluenceMaximizer(graph).maximize(
-        k,
-        algorithm=algorithm,
-        eps=eps,
-        delta=delta,
-        seed=seed,
-        budget=budget,
-        cancel=cancel,
-        checkpoint=checkpoint,
-        checkpoint_every=checkpoint_every,
-        resume=resume,
-        fault_injector=fault_injector,
-        batch_size=batch_size,
-        metrics=metrics,
-        trace=trace,
-        **algorithm_kwargs,
-    )

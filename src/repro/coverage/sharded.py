@@ -1,10 +1,9 @@
 """Scatter-gather seed selection over shard-resident RR pools.
 
-These are line-for-line mirrors of
-:func:`~repro.coverage.greedy.max_coverage_greedy` and
-:func:`~repro.coverage.celf.celf_max_coverage` that keep the RR sets in
-the shard workers and move only per-node gain vectors.  The selection
-sequence is **provably identical** to the single-pool implementations:
+This is a line-for-line mirror of
+:func:`~repro.coverage.greedy.max_coverage_greedy` that keeps the RR sets
+in the shard workers and moves only per-node gain vectors.  The selection
+sequence is **provably identical** to the single-pool implementation:
 
 * The global gain of a node is the number of uncovered sets containing it;
   because the pool is *partitioned* across shards, that count is the plain
@@ -14,12 +13,12 @@ sequence is **provably identical** to the single-pool implementations:
   of the sets the single-pool run would cover, and the returned members
   (with multiplicity) are the same decrement mass, merely shard-grouped —
   and ``np.subtract.at`` is order-independent.
-* Argmax, tie-breaks (:func:`~repro.coverage.greedy._argmax`), the Eq. 2
-  top-k bound (:func:`~repro.coverage.greedy._topk_sum`), and CELF's heap
-  priorities all operate on those identical gain vectors, so every
-  selection decision — and every ``coverage.*`` metric — matches.
+* Argmax, tie-breaks (:func:`~repro.coverage.greedy._argmax`) and the
+  Eq. 2 top-k bound (:func:`~repro.coverage.greedy._topk_sum`) operate on
+  those identical gain vectors, so every selection decision — and every
+  ``coverage.*`` metric — matches.
 
-Both entry points accept ``initial_covered`` either as a
+The entry point accepts ``initial_covered`` either as a
 :class:`~repro.engine.shards.ShardedSeedMask` (the sharded view's
 ``covered_mask``) or ``None``; arbitrary boolean masks have no global
 meaning for a distributed pool and are rejected.
@@ -27,7 +26,6 @@ meaning for a distributed pool and are rejected.
 
 from __future__ import annotations
 
-import heapq
 from typing import List, Optional
 
 import numpy as np
@@ -147,78 +145,5 @@ def sharded_max_coverage_greedy(
         coverage=coverage,
         coverage_history=coverage_history,
         upper_bound_coverage=upper_bound,
-        covered=covered,
-    )
-
-
-def sharded_celf_max_coverage(
-    view,
-    select: int,
-    out_degree: Optional[np.ndarray] = None,
-    initial_covered=None,
-    metrics=None,
-    batch: int = 64,
-):
-    """CELF lazy greedy over a sharded view (see
-    :func:`~repro.coverage.celf.celf_max_coverage`)."""
-    from repro.coverage.greedy import GreedyResult
-
-    n = view.n
-    if not 1 <= select <= n:
-        raise ConfigurationError(f"select must lie in [1, {n}], got {select}")
-    if batch < 1:
-        raise ConfigurationError(f"batch must be >= 1, got {batch}")
-
-    pool, role = view.shard_pool, view.role
-    try:
-        base, _ = _begin_selection(view, initial_covered)
-
-        def priority(v: int, gain: int):
-            degree = int(out_degree[v]) if out_degree is not None else 0
-            return (-gain, -degree, v)
-
-        gains = pool.select_uncovered(role, np.arange(n, dtype=np.int64))
-        heap = [priority(v, int(gains[v])) + (0,) for v in range(n)]
-        heapq.heapify(heap)
-
-        coverage = base
-        coverage_history = [coverage]
-        seeds: List[int] = []
-        round_idx = 0
-        reevaluations = 0
-
-        while len(seeds) < select:
-            round_idx += 1
-            while True:
-                if heap[0][3] == round_idx:
-                    neg_gain, _, v, _ = heapq.heappop(heap)
-                    break
-                stale = []
-                while heap and len(stale) < batch and heap[0][3] != round_idx:
-                    stale.append(heapq.heappop(heap))
-                nodes = np.array([entry[2] for entry in stale], dtype=np.int64)
-                fresh = pool.select_uncovered(role, nodes)
-                reevaluations += len(stale)
-                for entry, gain in zip(stale, fresh.tolist()):
-                    heapq.heappush(
-                        heap, priority(entry[2], gain) + (round_idx,)
-                    )
-            seeds.append(v)
-            coverage += -neg_gain
-            coverage_history.append(coverage)
-            pool.select_mark(role, v, want_decrements=False)
-        covered = _gather_covered(view)
-    finally:
-        pool.select_end(role)
-
-    if metrics is not None:
-        metrics.inc("coverage.selections", len(seeds))
-        metrics.inc("coverage.lazy_reevaluations", reevaluations)
-
-    return GreedyResult(
-        seeds=seeds,
-        coverage=coverage,
-        coverage_history=coverage_history,
-        upper_bound_coverage=float("inf"),
         covered=covered,
     )

@@ -101,10 +101,6 @@ class BankProvider:
         """The single-run provider ``IMAlgorithm.run`` builds by default."""
         return cls(graph, rng=rng)
 
-    @property
-    def is_session(self) -> bool:
-        return self._shared_rng is None
-
     # ------------------------------------------------------------------
     # per-query lifecycle
     # ------------------------------------------------------------------

@@ -81,9 +81,8 @@ class ShardedPoolView:
     :class:`~repro.rrsets.collection.RRCollection` /
     :class:`~repro.rrsets.collection.RRPrefixView`; every query is a
     scatter-gather over the shard workers.  ``is_sharded`` routes
-    :func:`~repro.coverage.greedy.max_coverage_greedy` and
-    :func:`~repro.coverage.celf.celf_max_coverage` to their sharded
-    implementations.
+    :func:`~repro.coverage.greedy.max_coverage_greedy` to its sharded
+    implementation.
     """
 
     is_sharded = True

@@ -19,7 +19,7 @@ property the shard pool's rank-order merge point and its tests rely on.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List
 
 import numpy as np
 
@@ -269,9 +269,3 @@ class MetricsRegistry:
             self._counters[name] = int(value)
         for name, sketch in payload.get("histograms", {}).items():
             self._histograms[name] = HistogramSketch.from_dict(sketch)
-
-
-def maybe_observe_sizes(metrics: Optional[MetricsRegistry], sizes: np.ndarray) -> None:
-    """Record a batch of RR-set sizes when a sink is attached (else no-op)."""
-    if metrics is not None:
-        metrics.observe_many("rr_size", sizes)

@@ -594,8 +594,9 @@ class RRCollection:
         """Per-node count of *uncovered* sets containing each queried node.
 
         One ragged gather over the inverted CSR plus a segmented sum — the
-        exact marginal-gain vector CELF's batched lazy re-evaluation needs,
-        with no per-node Python work.
+        exact marginal-gain vector, with no per-node Python work.  Shard
+        workers use it to answer sharded greedy's initial gains once its
+        ``initial_covered`` seeds are marked.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
         if len(nodes) == 0:

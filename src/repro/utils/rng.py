@@ -8,7 +8,7 @@ several independent streams use :func:`spawn_generators`.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -60,8 +60,3 @@ def random_unit(rng: np.random.Generator) -> float:
     while value <= 0.0:
         value = rng.random()
     return value
-
-
-def optional_seed(rng: Optional[np.random.Generator]) -> np.random.Generator:
-    """Return ``rng`` if given, otherwise a freshly seeded generator."""
-    return rng if rng is not None else np.random.default_rng()

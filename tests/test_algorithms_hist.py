@@ -10,6 +10,7 @@ from repro.estimation.montecarlo import estimate_spread
 from repro.graphs.generators import preferential_attachment
 from repro.graphs.weights import wc_variant_weights
 from repro.rrsets.subsim import SubsimICGenerator
+from repro.runtime import Budget
 from repro.utils.exceptions import ConfigurationError
 
 
@@ -175,3 +176,34 @@ class TestHIST:
         res = HIST(high_influence_graph).run(10, eps=0.3, seed=4)
         if res.extras["b"] < 10:
             assert 0 <= res.lower_bound <= res.upper_bound
+
+
+class TestInterruptFallback:
+    """A budget cut inside either phase degrades to the greedy fallback.
+
+    The seed lists are literals: they pin the best-so-far seeds each
+    fallback branch returns on the session WC graph (k=5, eps=0.3, seed 3).
+    """
+
+    @pytest.mark.parametrize(
+        "cap, phase, seeds",
+        [
+            # sentinel phase, bootstrap cut: greedy over the partial R1
+            (5, "sentinel", [4, 0, 23, 243, 1]),
+            # sentinel phase, after a round: that round's greedy seeds
+            (40, "sentinel", [4, 1, 3, 16, 72]),
+            # IM phase, nothing sampled yet: the sentinels alone
+            (1600, "im_sentinel", [1]),
+            # IM phase, bootstrap cut: sentinels + greedy over the partial R1
+            (1605, "im_sentinel", [1, 7, 55, 88, 191]),
+        ],
+    )
+    def test_partial_seeds_pinned(self, wc_graph, cap, phase, seeds):
+        res = HIST(wc_graph).run(
+            5, eps=0.3, seed=3, budget=Budget(max_rr_sets=cap)
+        )
+        assert res.status == "partial"
+        assert res.stop_reason == "num_rr_sets"
+        assert phase in res.phases
+        assert ("im_sentinel" in res.phases) == (phase == "im_sentinel")
+        assert res.seeds == seeds

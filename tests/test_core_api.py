@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.api import InfluenceMaximizer, maximize_influence
+from repro.core.api import InfluenceMaximizer
 from repro.core.registry import (
     available_algorithms,
     get_algorithm,
@@ -61,7 +61,10 @@ class TestFacade:
         assert len(result.seeds) == 3
 
     def test_functional_spelling(self, wc_graph):
-        result = maximize_influence(wc_graph, 3, algorithm="degree", seed=0)
+        # The one-shot spelling is the facade call itself.
+        result = InfluenceMaximizer(wc_graph).maximize(
+            3, algorithm="degree", seed=0
+        )
         assert len(result.seeds) == 3
 
     def test_evaluate(self, wc_graph):
@@ -71,8 +74,8 @@ class TestFacade:
         assert est.mean >= 3.0
 
     def test_algorithm_kwargs_forwarded(self, wc_graph):
-        result = maximize_influence(
-            wc_graph, 3, algorithm="imm", eps=0.4, seed=0, max_rr_sets=1000
+        result = InfluenceMaximizer(wc_graph).maximize(
+            3, algorithm="imm", eps=0.4, seed=0, max_rr_sets=1000
         )
         assert result.num_rr_sets <= 1000
 
@@ -84,11 +87,6 @@ class TestFacade:
             3, algorithm="subsim", eps=0.4, seed=0, batch_size=16
         )
         assert len(result.seeds) == 3
-        functional = maximize_influence(
-            wc_graph, 3, algorithm="subsim", eps=0.4, seed=0,
-            batch_size=16,
-        )
-        assert functional.seeds == result.seeds
 
 class TestFacadeSessions:
     def test_session_returns_query_session(self, wc_graph):

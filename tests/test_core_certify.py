@@ -17,9 +17,11 @@ def graph():
 
 class TestCertify:
     def test_good_seeds_certify_well(self, graph):
-        from repro.core.api import maximize_influence
+        from repro.core.api import InfluenceMaximizer
 
-        result = maximize_influence(graph, 5, algorithm="subsim", eps=0.2, seed=1)
+        result = InfluenceMaximizer(graph).maximize(
+            5, algorithm="subsim", eps=0.2, seed=1
+        )
         cert = certify_result(graph, result.seeds, k=5, num_rr=20_000, seed=2)
         # A properly selected set certifies close to (1 - 1/e).
         assert cert.ratio > 1 - 1 / math.e - 0.25
@@ -30,9 +32,11 @@ class TestCertify:
         # The five lowest-out-degree nodes: genuinely weak seeds.
         weak = graph.out_degree().argsort()[:5].tolist()
         cert_weak = certify_result(graph, weak, k=5, num_rr=20_000, seed=2)
-        from repro.core.api import maximize_influence
+        from repro.core.api import InfluenceMaximizer
 
-        good = maximize_influence(graph, 5, algorithm="subsim", eps=0.2, seed=1)
+        good = InfluenceMaximizer(graph).maximize(
+            5, algorithm="subsim", eps=0.2, seed=1
+        )
         cert_good = certify_result(graph, good.seeds, k=5, num_rr=20_000, seed=2)
         assert cert_weak.ratio < cert_good.ratio
 
@@ -44,11 +48,13 @@ class TestCertify:
         assert cert.ratio > 0.7
 
     def test_upper_bound_actually_bounds_optimum(self, graph):
-        from repro.core.api import maximize_influence
+        from repro.core.api import InfluenceMaximizer
         from repro.estimation.montecarlo import estimate_spread
 
         cert = certify_result(graph, [0], k=5, num_rr=20_000, seed=3)
-        strong = maximize_influence(graph, 5, algorithm="subsim", eps=0.2, seed=1)
+        strong = InfluenceMaximizer(graph).maximize(
+            5, algorithm="subsim", eps=0.2, seed=1
+        )
         spread = estimate_spread(
             graph, strong.seeds, num_simulations=500, seed=0
         ).mean

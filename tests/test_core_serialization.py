@@ -67,9 +67,11 @@ class TestRoundTrip:
         assert revived.upper_bound == float("inf")
 
     def test_real_algorithm_result_round_trips(self, wc_graph, tmp_path):
-        from repro.core.api import maximize_influence
+        from repro.core.api import InfluenceMaximizer
 
-        result = maximize_influence(wc_graph, 3, algorithm="subsim", eps=0.4, seed=0)
+        result = InfluenceMaximizer(wc_graph).maximize(
+            3, algorithm="subsim", eps=0.4, seed=0
+        )
         path = tmp_path / "r.json"
         save_result(result, path)
         revived = load_result(path)

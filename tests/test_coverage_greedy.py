@@ -231,3 +231,90 @@ class TestInitialCovered:
 
         assert res_mask.seeds == res_removed.seeds
         assert res_mask.coverage == res_removed.coverage + int(mask.sum())
+
+
+def naive_greedy(sets, n, select, topk, out_degree, initial_covered,
+                 excluded, track_upper_bound):
+    """Greedy that recomputes every marginal gain from scratch each step.
+
+    Mirrors ``max_coverage_greedy``'s rules: ties go to the larger
+    out-degree, then the lowest id; selected nodes leave the Eq. 2 top-k
+    sum while excluded nodes stay in it; Eq. 2 is capped at the pool size.
+    """
+    covered = list(initial_covered)
+    coverage = sum(covered)
+    history = [coverage]
+    upper = float(len(sets)) if track_upper_bound else float("inf")
+    seeds = []
+
+    def gain(v):
+        return sum(1 for i, s in enumerate(sets) if not covered[i] and v in s)
+
+    for _ in range(select + 1):
+        gains = {v: gain(v) for v in range(n) if v not in seeds}
+        if track_upper_bound:
+            top = sorted(gains.values(), reverse=True)[:topk]
+            upper = min(upper, coverage + sum(top))
+        if len(seeds) == select:
+            break
+        degree = out_degree if out_degree is not None else [0] * n
+        best = min(
+            (v for v in gains if v not in excluded),
+            key=lambda v: (-gains[v], -degree[v], v),
+        )
+        seeds.append(best)
+        coverage += gains[best]
+        history.append(coverage)
+        for i, s in enumerate(sets):
+            if best in s:
+                covered[i] = True
+    return seeds, coverage, history, upper
+
+
+class TestAgainstNaiveOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_from_scratch_greedy(self, data):
+        n = data.draw(st.integers(2, 9), label="n")
+        sets = data.draw(
+            st.lists(
+                st.lists(
+                    st.integers(0, n - 1), min_size=1, max_size=n, unique=True
+                ),
+                max_size=14,
+            ),
+            label="sets",
+        )
+        excluded = data.draw(
+            st.lists(st.integers(0, n - 1), max_size=n - 1, unique=True),
+            label="excluded",
+        )
+        select = data.draw(st.integers(1, n - len(excluded)), label="select")
+        topk = data.draw(st.integers(1, n + 1), label="topk")
+        out_degree = data.draw(
+            st.none() | st.lists(st.integers(0, 3), min_size=n, max_size=n),
+            label="out_degree",
+        )
+        initial_covered = data.draw(
+            st.lists(st.booleans(), min_size=len(sets), max_size=len(sets)),
+            label="initial_covered",
+        )
+        track = data.draw(st.booleans(), label="track_upper_bound")
+
+        res = max_coverage_greedy(
+            collection_from(sets, n),
+            select=select,
+            topk=topk,
+            out_degree=None if out_degree is None else np.array(out_degree),
+            initial_covered=np.array(initial_covered, dtype=bool),
+            track_upper_bound=track,
+            excluded=excluded,
+        )
+        seeds, coverage, history, upper = naive_greedy(
+            sets, n, select, topk, out_degree, initial_covered,
+            excluded, track,
+        )
+        assert res.seeds == seeds
+        assert res.coverage == coverage
+        assert res.coverage_history == history
+        assert res.upper_bound_coverage == upper

@@ -2,7 +2,7 @@
 
 One set of RR sets, materialized twice: once in a plain
 :class:`RRCollection`, once scattered (rank-major, same global order)
-into a :class:`ShardPool`.  Greedy and CELF must then make the same
+into a :class:`ShardPool`.  Greedy must then make the same
 selections, produce the same histories/bounds/metrics, and gather the
 same covered mask — the "provably identical" contract of
 :mod:`repro.coverage.sharded`.
@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.coverage.celf import celf_max_coverage
 from repro.coverage.greedy import max_coverage_greedy
 from repro.engine.shards import ShardedRRBank
 from repro.graphs.generators import erdos_renyi
@@ -116,31 +115,6 @@ class TestGreedyIdentity:
         _, _, bank = pools
         with pytest.raises(ConfigurationError):
             max_coverage_greedy(
-                bank.view(NUM_SETS), 3,
-                initial_covered=np.zeros(NUM_SETS, dtype=bool),
-            )
-
-
-class TestCelfIdentity:
-    def test_full_view(self, graph, pools):
-        single, _, bank = pools
-        out_deg = np.diff(graph.out_indptr)
-        m_single, m_sharded = MetricsRegistry(), MetricsRegistry()
-        a = celf_max_coverage(
-            single, 8, out_degree=out_deg, metrics=m_single
-        )
-        b = celf_max_coverage(
-            bank.view(NUM_SETS), 8, out_degree=out_deg, metrics=m_sharded
-        )
-        _assert_same(a, b)
-        assert m_single.value("coverage.selections") == m_sharded.value(
-            "coverage.selections"
-        )
-
-    def test_raw_mask_rejected(self, pools):
-        _, _, bank = pools
-        with pytest.raises(ConfigurationError):
-            celf_max_coverage(
                 bank.view(NUM_SETS), 3,
                 initial_covered=np.zeros(NUM_SETS, dtype=bool),
             )

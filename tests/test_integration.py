@@ -15,7 +15,6 @@ from repro import (
     VanillaICGenerator,
     available_algorithms,
     estimate_spread,
-    maximize_influence,
     preferential_attachment,
     wc_variant_weights,
     wc_weights,
@@ -36,8 +35,8 @@ def spreads(graph):
     out = {}
     for name in PRINCIPLED:
         kwargs = {"max_rr_sets": 20_000} if name in ("imm", "tim+") else {}
-        res = maximize_influence(
-            graph, 8, algorithm=name, eps=0.3, seed=5, **kwargs
+        res = InfluenceMaximizer(graph).maximize(
+            8, algorithm=name, eps=0.3, seed=5, **kwargs
         )
         assert len(set(res.seeds)) == 8
         out[name] = estimate_spread(
@@ -52,7 +51,9 @@ class TestAlgorithmAgreement:
         assert max(values) <= 1.25 * min(values), spreads
 
     def test_all_beat_random(self, graph, spreads):
-        rand = maximize_influence(graph, 8, algorithm="random", seed=5)
+        rand = InfluenceMaximizer(graph).maximize(
+            8, algorithm="random", seed=5
+        )
         rand_spread = estimate_spread(
             graph, rand.seeds, num_simulations=400, seed=0
         ).mean
@@ -81,15 +82,17 @@ class TestPaperClaims:
     def test_hist_shrinks_rr_sets_in_high_influence(self):
         base = preferential_attachment(400, 4, seed=2, reciprocal=0.3)
         graph = wc_variant_weights(base, 2.5)
-        hist = maximize_influence(graph, 10, algorithm="hist", eps=0.3, seed=1)
-        opim = maximize_influence(graph, 10, algorithm="opim-c", eps=0.3, seed=1)
+        maximizer = InfluenceMaximizer(graph)
+        hist = maximizer.maximize(10, algorithm="hist", eps=0.3, seed=1)
+        opim = maximizer.maximize(10, algorithm="opim-c", eps=0.3, seed=1)
         assert hist.average_rr_size < 0.5 * opim.average_rr_size
 
     def test_sentinel_phase_needs_fewer_sets(self):
         base = preferential_attachment(400, 4, seed=2, reciprocal=0.3)
         graph = wc_variant_weights(base, 2.5)
-        hist = maximize_influence(graph, 10, algorithm="hist", eps=0.3, seed=1)
-        opim = maximize_influence(graph, 10, algorithm="opim-c", eps=0.3, seed=1)
+        maximizer = InfluenceMaximizer(graph)
+        hist = maximizer.maximize(10, algorithm="hist", eps=0.3, seed=1)
+        opim = maximizer.maximize(10, algorithm="opim-c", eps=0.3, seed=1)
         assert hist.extras["sentinel_rr_sets"] <= 2 * opim.num_rr_sets
 
 
@@ -126,7 +129,7 @@ class TestFacadeSmoke:
         graph = lt_normalized_weights(exponential_weights(base, seed=1))
         for name in ("opim-c-lt", "hist-lt", "imm-lt"):
             kwargs = {"max_rr_sets": 5000} if name == "imm-lt" else {}
-            res = maximize_influence(
-                graph, 3, algorithm=name, eps=0.5, seed=0, **kwargs
+            res = InfluenceMaximizer(graph).maximize(
+                3, algorithm=name, eps=0.5, seed=0, **kwargs
             )
             assert len(res.seeds) == 3, name
