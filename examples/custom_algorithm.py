@@ -53,7 +53,8 @@ class PageRankSeededRR(IMAlgorithm):
             np.argsort(scores)[-self.candidate_factor * k:].tolist()
         )
         restricted = RRCollection(self.graph.n)
-        for rr in pool.rr_sets:
+        for rr_id in range(pool.num_rr):
+            rr = pool.set_nodes(rr_id)
             restricted.add([node for node in rr if node in keep] or [rr[0]])
         greedy = max_coverage_greedy(
             restricted, select=k, track_upper_bound=False

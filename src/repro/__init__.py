@@ -34,10 +34,8 @@ from repro.graphs.generators import (
 )
 from repro.graphs.io import (
     load_edge_list,
-    load_edge_list_with_retry,
     load_graph_auto,
     load_npz,
-    load_npz_with_retry,
     save_edge_list,
     save_npz,
 )
@@ -99,10 +97,8 @@ __all__ = [
     "exponential_weights",
     "get_algorithm",
     "load_edge_list",
-    "load_edge_list_with_retry",
     "load_graph_auto",
     "load_npz",
-    "load_npz_with_retry",
     "lt_normalized_weights",
     "preferential_attachment",
     "register_algorithm",

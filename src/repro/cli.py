@@ -63,16 +63,6 @@ _FIGURES = {
 }
 
 
-def _load(path: str, retries: int = 0) -> CSRGraph:
-    """Load a graph file; transient I/O failures retry when ``retries`` > 0.
-
-    Text edge lists go through :func:`repro.graphs.io.load_graph_auto`,
-    which prefers (and maintains) a fresh ``<path>.graph.npz`` binary
-    sidecar — repeat CLI invocations on large text graphs skip the parse.
-    """
-    return io.load_graph_auto(path, retries=retries)
-
-
 def _write_json(path: str, payload) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
@@ -155,7 +145,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_summarize(args) -> int:
-    graph = _load(args.graph)
+    graph = io.load_graph_auto(args.graph)
     summary = stats.graph_summary(graph)
     print(render_table([summary.as_row()], title=args.graph))
     return 0
@@ -219,7 +209,11 @@ def cmd_run(args) -> int:
             "--shards/--spill-dir require --reuse-pool: the shard workers "
             "back a multi-query session (--ks ... --reuse-pool --shards S)"
         )
-    graph = _load(args.graph, retries=args.load_retries)
+    from repro.serving.retry import RetryPolicy
+
+    graph = RetryPolicy(attempts=args.load_retries + 1, seed=args.seed).call(
+        lambda: io.load_graph_auto(args.graph), transient=io.is_transient
+    )
     if args.weights:
         graph = _apply_weights(graph, args.weights, args.seed)
     kwargs = {}
@@ -346,7 +340,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    graph = _load(args.graph)
+    graph = io.load_graph_auto(args.graph)
     if args.weights:
         graph = _apply_weights(graph, args.weights, args.seed)
     seeds = [int(s) for s in args.seeds.split(",")]
@@ -366,7 +360,7 @@ def cmd_audit(args) -> int:
         marginal_contributions,
     )
 
-    graph = _load(args.graph)
+    graph = io.load_graph_auto(args.graph)
     if args.weights:
         graph = _apply_weights(graph, args.weights, args.seed)
     seeds = [int(s) for s in args.seeds.split(",")]
@@ -389,7 +383,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    graph = _load(args.graph)
+    graph = io.load_graph_auto(args.graph)
     if args.mode == "wc-variant":
         value, _, achieved = calibration.calibrate_wc_variant(
             graph, args.target, seed=args.seed
@@ -406,7 +400,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_rr_stats(args) -> int:
-    graph = _load(args.graph)
+    graph = io.load_graph_auto(args.graph)
     if args.weights:
         graph = _apply_weights(graph, args.weights, args.seed)
     rows = []
@@ -459,7 +453,7 @@ def cmd_report(args) -> int:
 def cmd_profile(args) -> int:
     from repro.experiments.profiles import profile_rr_sizes
 
-    graph = _load(args.graph)
+    graph = io.load_graph_auto(args.graph)
     if args.weights:
         graph = _apply_weights(graph, args.weights, args.seed)
     sentinel = (
@@ -508,7 +502,7 @@ def _parse_tenant_byte_caps(specs) -> dict:
 
 
 def cmd_serve(args) -> int:
-    from repro.serving import GraphRegistry, QueryServer, ServerConfig
+    from repro.serving import QueryServer, ServerConfig
 
     config = ServerConfig(
         host=args.host,
@@ -531,15 +525,16 @@ def cmd_serve(args) -> int:
         shards=args.shards,
         spill_dir=args.spill_dir,
     )
-    registry = GraphRegistry()
+    server = QueryServer(config)
     for name, path in _parse_graph_specs(args.graph):
-        registry.add_path(name, path, weight_scheme=args.weights, seed=args.seed)
-    server = QueryServer(config, registry=registry)
+        server.registry.add_path(
+            name, path, weight_scheme=args.weights, seed=args.seed
+        )
     server.start()
     host, port = server.address
     # flush: supervisors (and CI) read this banner through a pipe to
     # learn the bound port, so it must not sit in a block buffer.
-    print(f"serving {registry.names()} on http://{host}:{port} "
+    print(f"serving {server.registry.names()} on http://{host}:{port} "
           f"({config.workers} workers, algorithm {config.algorithm})",
           flush=True)
     try:
@@ -616,7 +611,7 @@ def cmd_delta(args) -> int:
 def cmd_stability(args) -> int:
     from repro.experiments.stability import stability_report
 
-    graph = _load(args.graph)
+    graph = io.load_graph_auto(args.graph)
     if args.weights:
         graph = _apply_weights(graph, args.weights, args.seed)
     report = stability_report(
@@ -692,7 +687,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", action="store_true",
                    help="continue from --checkpoint if it exists")
     p.add_argument("--load-retries", type=int, default=0, metavar="N",
-                   help="retry transient graph-load failures up to N times")
+                   help="retry transient graph-load failures up to N times "
+                        "(jittered backoff from 0.05 s, <= 10 s in total)")
     p.add_argument("--batch-size", type=int, default=1, metavar="B",
                    help="grow B RR sets per vectorized batch (1 = exact "
                         "sequential semantics, the default)")

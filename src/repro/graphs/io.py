@@ -9,27 +9,34 @@ truncated archive, malformed line — surfaces as
 :class:`~repro.utils.exceptions.GraphFormatError` with the underlying
 exception chained as ``__cause__``, so callers catch one type and can still
 distinguish transient I/O faults (``isinstance(exc.__cause__, OSError)``)
-from permanent format errors.  The ``*_with_retry`` variants exploit
-exactly that distinction: transient failures are retried with bounded,
-jittered exponential backoff under a max-total-wait cap (sleep and jitter
-RNG are injectable for tests); format errors are never retried, and the
-error that finally surfaces records its ``attempts`` / ``total_wait``.
+from permanent format errors.  :func:`is_transient` is that test; retrying
+callers pass it to :class:`~repro.serving.retry.RetryPolicy` so only
+transient failures are retried and format errors fail at once.
 """
 
 from __future__ import annotations
 
 import os
-import time
 import zipfile
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from repro.graphs.csr import CSRGraph, build_graph
 from repro.utils.exceptions import GraphFormatError
-from repro.utils.rng import SeedLike, as_generator
 
 PathLike = Union[str, "os.PathLike[str]"]
+
+
+def is_transient(exc: BaseException) -> bool:
+    """Whether a loader failure is worth retrying: an ``OSError`` cause.
+
+    A vanished file, a permission flap or a network-filesystem hiccup may
+    clear on its own; malformed content never does.
+    """
+    return isinstance(exc, GraphFormatError) and isinstance(
+        exc.__cause__, OSError
+    )
 
 
 def load_edge_list(
@@ -144,11 +151,7 @@ def sidecar_path(path: PathLike) -> str:
     return f"{os.fspath(path)}.graph.npz"
 
 
-def load_graph_auto(
-    path: PathLike,
-    retries: int = 0,
-    use_sidecar: bool = True,
-) -> CSRGraph:
+def load_graph_auto(path: PathLike) -> CSRGraph:
     """Load a graph file, preferring a fresh binary sidecar for text input.
 
     ``.npz`` paths load directly.  For a text edge list the loader first
@@ -159,129 +162,26 @@ def load_graph_auto(
     is (re)written atomically via a temp file + ``os.replace``; a failure
     to write it (read-only directory, quota) is silently ignored — the
     cache is an optimization, never a correctness requirement.
-
-    ``retries`` forwards to the ``*_with_retry`` loaders (0 = no retry).
     """
     text_path = os.fspath(path)
     if text_path.endswith(".npz"):
-        if retries:
-            return load_npz_with_retry(text_path, retries=retries)
         return load_npz(text_path)
     cache = sidecar_path(text_path)
-    if use_sidecar:
+    try:
+        if os.path.getmtime(cache) >= os.path.getmtime(text_path):
+            return load_npz(cache)
+    except (OSError, GraphFormatError):
+        pass  # missing, unreadable, or corrupt sidecar: re-parse
+    graph = load_edge_list(text_path)
+    # np.savez appends ".npz" to names lacking it — keep the suffix so
+    # the temp file lands where we expect to replace from.
+    tmp = f"{cache}.{os.getpid()}.tmp.npz"
+    try:
+        save_npz(graph, tmp)
+        os.replace(tmp, cache)
+    except OSError:
         try:
-            if os.path.getmtime(cache) >= os.path.getmtime(text_path):
-                return load_npz(cache)
-        except (OSError, GraphFormatError):
-            pass  # missing, unreadable, or corrupt sidecar: re-parse
-    if retries:
-        graph = load_edge_list_with_retry(text_path, retries=retries)
-    else:
-        graph = load_edge_list(text_path)
-    if use_sidecar:
-        # np.savez appends ".npz" to names lacking it — keep the suffix so
-        # the temp file lands where we expect to replace from.
-        tmp = f"{cache}.{os.getpid()}.tmp.npz"
-        try:
-            save_npz(graph, tmp)
-            os.replace(tmp, cache)
+            os.unlink(tmp)
         except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+            pass
     return graph
-
-
-# ----------------------------------------------------------------------
-# retry wrappers
-# ----------------------------------------------------------------------
-
-def _retry_load(
-    loader: Callable[..., CSRGraph],
-    path: PathLike,
-    retries: int,
-    backoff: float,
-    jitter: float,
-    sleep: Callable[[float], None],
-    seed: SeedLike,
-    kwargs: dict,
-    max_total_wait: Optional[float] = None,
-) -> CSRGraph:
-    if retries < 0:
-        raise GraphFormatError(f"retries must be >= 0, got {retries}")
-    if max_total_wait is not None and max_total_wait < 0:
-        raise GraphFormatError(
-            f"max_total_wait must be >= 0, got {max_total_wait}"
-        )
-    rng = as_generator(seed)
-    attempt = 0
-    waited = 0.0
-    while True:
-        attempt += 1
-        try:
-            return loader(path, **kwargs)
-        except GraphFormatError as exc:
-            # Surface how hard the loader tried, so the caller's error
-            # report can distinguish "failed instantly" from "retried N
-            # times over S seconds and gave up".
-            exc.attempts = attempt
-            exc.total_wait = waited
-            transient = isinstance(exc.__cause__, OSError)
-            if not transient or attempt > retries:
-                raise
-            delay = backoff * (2.0 ** (attempt - 1))
-            if jitter > 0:
-                delay *= 1.0 + jitter * float(rng.random())
-            if max_total_wait is not None and waited + delay > max_total_wait:
-                # The cap bounds cumulative sleep, not attempts: stop
-                # retrying once the next backoff would blow it.
-                raise
-            waited += delay
-            sleep(delay)
-
-
-def load_edge_list_with_retry(
-    path: PathLike,
-    retries: int = 3,
-    backoff: float = 0.1,
-    jitter: float = 0.5,
-    sleep: Callable[[float], None] = time.sleep,
-    seed: SeedLike = None,
-    max_total_wait: Optional[float] = 30.0,
-    **kwargs,
-) -> CSRGraph:
-    """:func:`load_edge_list` with bounded retry on *transient* failures.
-
-    Only errors whose chained cause is :class:`OSError` (vanished file,
-    permission flap, network filesystem hiccup) are retried — up to
-    ``retries`` extra attempts with exponential backoff ``backoff * 2^i``
-    scaled by a seeded jitter factor in ``[1, 1 + jitter]``, and never
-    sleeping more than ``max_total_wait`` seconds in total (``None``
-    removes the cap).  Malformed content fails immediately.  ``sleep`` is
-    injectable so tests run instantly.  A raised
-    :class:`GraphFormatError` carries ``attempts`` and ``total_wait``
-    attributes recording how hard the loader tried.
-    """
-    return _retry_load(
-        load_edge_list, path, retries, backoff, jitter, sleep, seed, kwargs,
-        max_total_wait=max_total_wait,
-    )
-
-
-def load_npz_with_retry(
-    path: PathLike,
-    retries: int = 3,
-    backoff: float = 0.1,
-    jitter: float = 0.5,
-    sleep: Callable[[float], None] = time.sleep,
-    seed: SeedLike = None,
-    max_total_wait: Optional[float] = 30.0,
-    **kwargs,
-) -> CSRGraph:
-    """:func:`load_npz` with the same retry policy as
-    :func:`load_edge_list_with_retry`."""
-    return _retry_load(
-        load_npz, path, retries, backoff, jitter, sleep, seed, kwargs,
-        max_total_wait=max_total_wait,
-    )

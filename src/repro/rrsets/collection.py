@@ -11,8 +11,9 @@ coverage hot paths are single NumPy kernels instead of Python loops:
   (``inv_indptr`` / ``inv_rrs``) — one stable argsort of the pool amortised
   across the greedy selections that consume it.
 
-``rr_sets`` and ``node_to_rrs`` remain available as lightweight views for
-code written against the original list-of-arrays interface.
+Per-set and per-node access goes through the same flat arrays:
+``set_nodes(i)`` is a view of one stored set and ``rrs_containing(v)``
+the ascending ids of the sets holding node ``v``.
 """
 
 from __future__ import annotations
@@ -75,51 +76,6 @@ def _segment_uncovered(
     csum = np.concatenate(([0], np.cumsum(fresh)))
     bounds = np.concatenate(([0], np.cumsum(lens)))
     return csum[bounds[1:]] - csum[bounds[:-1]]
-
-
-class _RRSetsView(Sequence):
-    """Read-only sequence view presenting the flat pool as per-set arrays."""
-
-    __slots__ = ("_coll",)
-
-    def __init__(self, coll: "RRCollection") -> None:
-        self._coll = coll
-
-    def __len__(self) -> int:
-        return self._coll.num_rr
-
-    def __getitem__(self, key):
-        coll = self._coll
-        if isinstance(key, slice):
-            return [coll.set_nodes(i) for i in range(*key.indices(coll.num_rr))]
-        if key < 0:
-            key += coll.num_rr
-        if not 0 <= key < coll.num_rr:
-            raise IndexError(f"RR-set id {key} out of range [0, {coll.num_rr})")
-        return coll.set_nodes(key)
-
-    def __iter__(self):
-        for i in range(self._coll.num_rr):
-            yield self._coll.set_nodes(i)
-
-
-class _NodeIndexView:
-    """Read-only view: ``view[node]`` lists the RR-set ids containing it."""
-
-    __slots__ = ("_coll",)
-
-    def __init__(self, coll: "RRCollection") -> None:
-        self._coll = coll
-
-    def __len__(self) -> int:
-        return self._coll.n
-
-    def __getitem__(self, node: int) -> List[int]:
-        return self._coll.rrs_containing(node).tolist()
-
-    def __iter__(self):
-        for node in range(self._coll.n):
-            yield self[node]
 
 
 class RRPrefixView:
@@ -270,16 +226,6 @@ class RRCollection:
     def rr_nodes(self) -> np.ndarray:
         """The concatenated node ids of every stored set (read-only)."""
         return self._nodes[: self.total_size]
-
-    @property
-    def rr_sets(self) -> _RRSetsView:
-        """Per-set array views over the flat pool (compatibility facade)."""
-        return _RRSetsView(self)
-
-    @property
-    def node_to_rrs(self) -> _NodeIndexView:
-        """Node → RR-set-id lists served from the inverted CSR."""
-        return _NodeIndexView(self)
 
     def average_size(self) -> float:
         """Mean number of nodes per stored RR set."""
@@ -444,16 +390,6 @@ class RRCollection:
                 # Pool-memory gauge at extend granularity (one call per
                 # doubling round) — phase spans pick it up at span exit.
                 metrics.set_gauge("rr_pool_bytes", self.nbytes())
-
-    def extend_to(
-        self,
-        target: int,
-        generator: RRGenerator,
-        rng: np.random.Generator,
-        stop_mask: Optional[np.ndarray] = None,
-    ) -> None:
-        """Grow the pool until it holds ``target`` RR sets (no-op if larger)."""
-        self.extend(max(0, target - self._num_rr), generator, rng, stop_mask)
 
     # ------------------------------------------------------------------
     # inverted index

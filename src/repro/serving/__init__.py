@@ -14,8 +14,10 @@ users" north star demands:
   ``status="partial"`` results carrying a ``complete=False`` certificate
   instead of erroring;
 * **retries + circuit breaking** — transient failures (graph loads, a
-  crashed worker mid-query) are retried with jittered backoff; persistent
-  failures open a breaker that fails fast with a retry-after hint;
+  crashed worker mid-query) are retried by one
+  :class:`~repro.serving.retry.RetryPolicy` loop with seeded, jittered,
+  capped backoff; persistent failures open a breaker that fails fast with
+  a retry-after hint;
 * **crash recovery** — sessions snapshot through
   :class:`~repro.runtime.checkpoint.CheckpointStore` after queries, so a
   restarted server resumes warm banks bit-identically; a truncated or

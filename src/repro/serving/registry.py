@@ -3,12 +3,13 @@
 The daemon serves queries against *named* graphs.  A name maps either to
 an already-built :class:`~repro.graphs.csr.CSRGraph` (registered
 in-process, e.g. by tests and the load harness) or to a path loaded
-lazily on first use.  Loads go through the shared
-:class:`~repro.serving.retry.RetryPolicy` (transient filesystem faults
-are retried with jittered, capped backoff) and a per-name
-:class:`~repro.serving.retry.CircuitBreaker` (a persistently failing
-path fails fast with a retry-after instead of stalling a worker per
-request).
+lazily on first use.  Loads go through the registry's
+:class:`~repro.serving.retry.RetryPolicy` (failures that
+:func:`repro.graphs.io.is_transient` accepts are retried with jittered,
+capped backoff; the error that finally surfaces records ``attempts``)
+and a per-name :class:`~repro.serving.retry.CircuitBreaker` (a
+persistently failing path fails fast with a retry-after instead of
+stalling a worker per request).
 """
 
 from __future__ import annotations
@@ -20,14 +21,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.graphs import io, weights
 from repro.graphs.csr import CSRGraph
 from repro.serving.retry import CircuitBreaker, RetryPolicy
-from repro.utils.exceptions import ConfigurationError, GraphFormatError
-
-
-def _transient_load_failure(exc: BaseException) -> bool:
-    """The ``graphs.io`` error contract: only OSError causes are transient."""
-    return isinstance(exc, GraphFormatError) and isinstance(
-        exc.__cause__, OSError
-    )
+from repro.utils.exceptions import ConfigurationError
 
 
 class GraphRegistry:
@@ -129,7 +123,7 @@ class GraphRegistry:
             mtime = self._stat_ns(path)
             loaded = self._retry.call(
                 lambda: self._load(path, scheme, seed),
-                transient=_transient_load_failure,
+                transient=io.is_transient,
             )
             return loaded, mtime
 

@@ -1,13 +1,15 @@
-"""Retry-with-backoff and circuit breaking for transient server failures.
+"""Retry-with-backoff and circuit breaking for transient failures.
 
-:class:`RetryPolicy` is the serving twin of the ``graphs.io`` retry
-loaders: bounded attempts, exponential backoff scaled by seeded jitter,
-and a **max-total-wait cap** so a pathological retry storm cannot stall a
-worker indefinitely.  :class:`CircuitBreaker` sits in front of resources
-that fail persistently (a graph file on a dead mount): after a threshold
-of consecutive failures it *opens* and fails fast with a retry-after hint
-instead of burning a worker per doomed attempt; after a cooldown one
-trial call is let through (*half-open*) and success closes it again.
+:class:`RetryPolicy` is the package's one retry loop — graph loads (the
+server's registry and ``repro run --load-retries``) and the server's
+per-query retries all run through it: bounded attempts, exponential
+backoff scaled by seeded jitter, and a **max-total-wait cap** so a
+pathological retry storm cannot stall a worker indefinitely.
+:class:`CircuitBreaker` sits in front of resources that fail persistently
+(a graph file on a dead mount): after a threshold of consecutive failures
+it *opens* and fails fast with a retry-after hint instead of burning a
+worker per doomed attempt; after a cooldown one trial call is let through
+(*half-open*) and success closes it again.
 
 Both are thread-safe and take injectable ``sleep`` / ``clock`` so the
 test suite runs instantly.
@@ -47,6 +49,8 @@ class RetryPolicy:
     exceed ``max_total_wait`` the policy stops retrying and re-raises —
     the cap that keeps retry storms bounded.  ``transient`` classifies
     which exceptions are worth retrying (others propagate immediately).
+    The exception that finally propagates records how hard the policy
+    tried, as ``attempts`` and ``total_wait`` (seconds slept) attributes.
     """
 
     attempts: int = 3
@@ -82,7 +86,9 @@ class RetryPolicy:
             try:
                 return fn()
             except Exception as exc:  # noqa: BLE001 - classified below
-                delay = self.backoff * (2.0 ** (attempt - 1))
+                exc.attempts = attempt  # type: ignore[attr-defined]
+                exc.total_wait = waited  # type: ignore[attr-defined]
+                delay = self.backoff * 2 ** (attempt - 1)
                 if self.jitter > 0:
                     delay *= 1.0 + self.jitter * float(self._rng.random())
                 out_of_budget = (

@@ -146,15 +146,15 @@ class QueryServer:
             registry
             if registry is not None
             else GraphRegistry(
-                retry=RetryPolicy(
-                    backoff=self.config.retry_backoff,
-                    jitter=self.config.retry_jitter,
-                    max_total_wait=self.config.retry_max_total_wait,
-                    seed=self.config.seed,
-                ),
+                retry=self._retry_policy(),
                 breaker_threshold=self.config.breaker_threshold,
                 breaker_cooldown=self.config.breaker_cooldown,
             )
+        )
+        #: per-query retries after a worker crash; the sleep is injectable
+        self.query_retry = self._retry_policy(
+            attempts=self.config.query_retries + 1,
+            on_retry=lambda attempt, exc: self.metrics.inc("serving.retries"),
         )
         self.sessions = SessionManager(
             self.config, metrics=self.metrics, faults=faults
@@ -171,6 +171,16 @@ class QueryServer:
         self._reports: Dict[str, Dict[str, Any]] = {}
         self._reports_lock = threading.Lock()
         self._started = False
+
+    def _retry_policy(self, **overrides: Any) -> RetryPolicy:
+        """A :class:`RetryPolicy` with the configured backoff and seed."""
+        return RetryPolicy(
+            backoff=self.config.retry_backoff,
+            jitter=self.config.retry_jitter,
+            max_total_wait=self.config.retry_max_total_wait,
+            seed=self.config.seed,
+            **overrides,
+        )
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -514,24 +524,18 @@ class QueryServer:
             )
             return
 
-        last_crash: Optional[BaseException] = None
-        for attempt in range(self.config.query_retries + 1):
-            if attempt > 0:
-                self.metrics.inc("serving.retries")
-                time.sleep(self.config.retry_backoff * (2.0 ** (attempt - 1)))
+        def attempt() -> Optional[Tuple[Any, IMResult]]:
             if self.faults is not None:
                 try:
                     self.faults.on_worker()
-                except InjectedFault as exc:
+                except InjectedFault:
                     # Worker died between dequeue and execution: nothing
                     # touched the session, but the job still gets retried.
                     self.metrics.inc("serving.worker_crashes")
-                    last_crash = exc
-                    continue
+                    raise
             remaining = job.remaining()
             if remaining is not None and remaining <= 0:
-                self._respond_deadline(job)
-                return
+                return None
             try:
                 with self.sessions.lease(
                     job.tenant, job.graph_name, graph
@@ -547,32 +551,38 @@ class QueryServer:
                         cancel=job.token,
                         fault_injector=self.faults,
                     )
-            except Exception as exc:  # noqa: BLE001 - crash containment
+            except Exception:
                 # InjectedFault or a genuine bug escaped the run: the
                 # session's banks may be desynced, so drop the session and
                 # retry against one rebuilt from the last good snapshot.
                 self.metrics.inc("serving.worker_crashes")
                 self.sessions.invalidate(job.tenant, job.graph_name)
-                last_crash = exc
-                continue
-            self._respond_result(job, graph, session, result)
-            return
+                raise
+            return session, result
 
-        self.metrics.inc("serving.degraded")
-        job.respond(
-            200,
-            {
-                "status": "degraded",
-                "stop_reason": "worker_crash",
-                "detail": str(last_crash),
-                "tenant": job.tenant,
-                "graph": job.graph_name,
-                "k": job.k,
-                "seeds": [],
-                "certificate": _degraded_certificate(),
-                "retries": self.config.query_retries,
-            },
-        )
+        try:
+            outcome = self.query_retry.call(attempt)
+        except Exception as exc:  # noqa: BLE001 - crash containment
+            self.metrics.inc("serving.degraded")
+            job.respond(
+                200,
+                {
+                    "status": "degraded",
+                    "stop_reason": "worker_crash",
+                    "detail": str(exc),
+                    "tenant": job.tenant,
+                    "graph": job.graph_name,
+                    "k": job.k,
+                    "seeds": [],
+                    "certificate": _degraded_certificate(),
+                    "retries": exc.attempts - 1,  # type: ignore[attr-defined]
+                },
+            )
+            return
+        if outcome is None:
+            self._respond_deadline(job)
+            return
+        self._respond_result(job, graph, *outcome)
 
     def _respond_deadline(self, job: QueryJob) -> None:
         self.metrics.inc("serving.deadline_exceeded")

@@ -7,14 +7,13 @@ from repro.utils.exceptions import (
     ReproError,
 )
 from repro.utils.rng import as_generator, spawn_generators
-from repro.utils.timing import Stopwatch, Timer
+from repro.utils.timing import Timer
 
 __all__ = [
     "CalibrationError",
     "ConfigurationError",
     "GraphFormatError",
     "ReproError",
-    "Stopwatch",
     "Timer",
     "as_generator",
     "spawn_generators",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional
+from typing import Optional
 
 
 class Timer:
@@ -27,35 +27,3 @@ class Timer:
         assert self.start is not None
         self.elapsed = time.perf_counter() - self.start
 
-
-class Stopwatch:
-    """Accumulates named wall-clock spans across repeated start/stop cycles.
-
-    Used by the multi-phase algorithms (e.g. HIST) to attribute time to the
-    sentinel-selection and IM-sentinel phases separately.
-    """
-
-    def __init__(self) -> None:
-        self._totals: Dict[str, float] = {}
-        self._running: Dict[str, float] = {}
-
-    def start(self, name: str) -> None:
-        if name in self._running:
-            raise RuntimeError(f"span {name!r} already running")
-        self._running[name] = time.perf_counter()
-
-    def stop(self, name: str) -> float:
-        try:
-            begin = self._running.pop(name)
-        except KeyError:
-            raise RuntimeError(f"span {name!r} was never started") from None
-        span = time.perf_counter() - begin
-        self._totals[name] = self._totals.get(name, 0.0) + span
-        return span
-
-    def total(self, name: str) -> float:
-        """Total accumulated seconds for span ``name`` (0.0 if never run)."""
-        return self._totals.get(name, 0.0)
-
-    def as_dict(self) -> Dict[str, float]:
-        return dict(self._totals)

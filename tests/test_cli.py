@@ -8,6 +8,7 @@ from repro.cli import build_parser, main
 from repro.graphs.generators import preferential_attachment
 from repro.graphs.io import save_edge_list, save_npz
 from repro.graphs.weights import wc_weights
+from repro.utils.exceptions import GraphFormatError
 
 
 @pytest.fixture
@@ -115,6 +116,45 @@ class TestRun:
         ])
         assert rc == 2
         assert "--batch-size" in capsys.readouterr().err
+
+
+class TestLoadRetries:
+    def _flaky_loader(self, monkeypatch, failures):
+        from repro.graphs import io
+
+        real = io.load_graph_auto
+        calls = []
+
+        def flaky(path):
+            calls.append(path)
+            if len(calls) <= failures:
+                raise GraphFormatError(f"{path}: flap") from OSError("mount")
+            return real(path)
+
+        monkeypatch.setattr(io, "load_graph_auto", flaky)
+        return calls
+
+    @pytest.mark.parametrize("retries, code", [(2, 0), (1, 2)])
+    def test_transient_failures_retried(
+        self, weighted_npz, monkeypatch, capsys, retries, code
+    ):
+        calls = self._flaky_loader(monkeypatch, failures=2)
+        rc = main([
+            "run", weighted_npz, "--algorithm", "degree", "--k", "2",
+            "--load-retries", str(retries),
+        ])
+        assert rc == code
+        assert len(calls) == retries + 1
+        if code == 2:
+            assert "flap" in capsys.readouterr().err
+
+    def test_negative_load_retries_rejected(self, weighted_npz, capsys):
+        rc = main([
+            "run", weighted_npz, "--algorithm", "degree", "--k", "2",
+            "--load-retries", "-1",
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestEvaluate:
@@ -351,6 +391,38 @@ class TestServeCli:
         rc = main(["serve", "--graph", "no-equals-sign"])
         assert rc == 2
         assert "NAME=PATH" in capsys.readouterr().err
+
+    def test_serve_loads_through_the_server_registry(
+        self, weighted_npz, monkeypatch, capsys
+    ):
+        import signal
+
+        import repro.serving
+        from repro.serving import QueryServer
+
+        built = []
+
+        class RecordingServer(QueryServer):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        def pause():
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(repro.serving, "QueryServer", RecordingServer)
+        monkeypatch.setattr(signal, "pause", pause)
+        rc = main([
+            "serve", "--graph", f"demo={weighted_npz}", "--port", "0",
+            "--seed", "11",
+        ])
+        assert rc == 0
+        assert "serving ['demo']" in capsys.readouterr().out
+        (server,) = built
+        assert "demo" in server.registry
+        # Graph loads use the retry policy built from the server config,
+        # so their jitter is seeded with --seed.
+        assert server.registry._retry.seed == 11
 
 
 class TestShardsFlag:

@@ -224,9 +224,9 @@ class TestInitialCovered:
         res_mask = max_coverage_greedy(c, select=4, initial_covered=mask)
 
         kept = RRCollection(wc_graph.n)
-        for rr_id, rr in enumerate(c.rr_sets):
+        for rr_id in range(c.num_rr):
             if not mask[rr_id]:
-                kept.add(rr)
+                kept.add(c.set_nodes(rr_id))
         res_removed = max_coverage_greedy(kept, select=4)
 
         assert res_mask.seeds == res_removed.seeds

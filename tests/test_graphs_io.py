@@ -7,17 +7,17 @@ import pytest
 
 from repro.graphs.generators import preferential_attachment
 from repro.graphs.io import (
+    is_transient,
     load_edge_list,
-    load_edge_list_with_retry,
     load_graph_auto,
     load_npz,
-    load_npz_with_retry,
     save_edge_list,
     save_npz,
     sidecar_path,
 )
 from repro.graphs.weights import exponential_weights
-from repro.utils.exceptions import GraphFormatError
+from repro.serving.retry import RetryPolicy
+from repro.utils.exceptions import ConfigurationError, GraphFormatError
 
 
 @pytest.fixture
@@ -89,6 +89,12 @@ class TestNpz:
         assert np.array_equal(loaded.in_probs, graph.in_probs)
 
 
+def _load_with_retry(loader, path, **policy):
+    """``loader(path)`` under a :class:`RetryPolicy`, as the CLI and the
+    server's registry run graph loads."""
+    return RetryPolicy(**policy).call(lambda: loader(path), transient=is_transient)
+
+
 class TestRetry:
     def test_transient_failure_eventually_loads(self, graph, tmp_path):
         # The file appears after two attempts (flaky mount simulation):
@@ -101,7 +107,7 @@ class TestRetry:
             if len(sleeps) == 2:
                 save_npz(graph, path)
 
-        loaded = load_npz_with_retry(path, retries=3, sleep=sleep, seed=0)
+        loaded = _load_with_retry(load_npz, path, attempts=4, sleep=sleep, seed=0)
         assert loaded == graph
         assert len(sleeps) == 2
 
@@ -110,7 +116,8 @@ class TestRetry:
         path.write_text("garbage line here\n")
         sleeps = []
         with pytest.raises(GraphFormatError) as info:
-            load_edge_list_with_retry(path, retries=5, sleep=sleeps.append)
+            _load_with_retry(load_edge_list, path, attempts=6, sleep=sleeps.append)
+        assert not is_transient(info.value)
         assert sleeps == []
         assert info.value.attempts == 1
         assert info.value.total_wait == 0.0
@@ -118,10 +125,11 @@ class TestRetry:
     def test_exhausted_retries_surface_attempts(self, tmp_path):
         sleeps = []
         with pytest.raises(GraphFormatError) as info:
-            load_npz_with_retry(
-                tmp_path / "absent.npz", retries=3, backoff=0.25,
+            _load_with_retry(
+                load_npz, tmp_path / "absent.npz", attempts=4, backoff=0.25,
                 jitter=0.0, sleep=sleeps.append, max_total_wait=None,
             )
+        assert is_transient(info.value)
         assert info.value.attempts == 4  # first try + 3 retries
         assert info.value.total_wait == pytest.approx(sum(sleeps))
         assert len(sleeps) == 3
@@ -129,9 +137,9 @@ class TestRetry:
     def test_max_total_wait_caps_cumulative_sleep(self, tmp_path):
         sleeps = []
         with pytest.raises(GraphFormatError) as info:
-            load_edge_list_with_retry(
-                tmp_path / "absent.txt", retries=50, backoff=1.0,
-                jitter=0.0, sleep=sleeps.append, max_total_wait=5.0,
+            _load_with_retry(
+                load_edge_list, tmp_path / "absent.txt", attempts=51,
+                backoff=1.0, jitter=0.0, sleep=sleeps.append, max_total_wait=5.0,
             )
         # Backoffs 1, 2 fit (3s total); the next (4s) would blow the cap.
         assert sleeps == [1.0, 2.0]
@@ -142,8 +150,8 @@ class TestRetry:
         def delays(seed):
             sleeps = []
             with pytest.raises(GraphFormatError):
-                load_npz_with_retry(
-                    tmp_path / "absent.npz", retries=3, backoff=0.1,
+                _load_with_retry(
+                    load_npz, tmp_path / "absent.npz", attempts=4, backoff=0.1,
                     jitter=0.5, sleep=sleeps.append, seed=seed,
                 )
             return sleeps
@@ -155,13 +163,11 @@ class TestRetry:
             base = 0.1 * 2.0 ** i
             assert base <= delay <= base * 1.5
 
-    def test_negative_retries_rejected(self, tmp_path):
-        with pytest.raises(GraphFormatError):
-            load_npz_with_retry(tmp_path / "x.npz", retries=-1)
-        with pytest.raises(GraphFormatError):
-            load_npz_with_retry(
-                tmp_path / "x.npz", retries=1, max_total_wait=-1.0
-            )
+    def test_negative_retries_rejected(self):
+        with pytest.raises(ConfigurationError):
+            RetryPolicy(attempts=0)  # zero tries = -1 retries
+        with pytest.raises(ConfigurationError):
+            RetryPolicy(attempts=2, max_total_wait=-1.0)
 
 
 def _graphs_equal(a, b) -> bool:
@@ -211,12 +217,4 @@ class TestSidecarCache:
         path = tmp_path / "g.npz"
         save_npz(graph, path)
         assert _graphs_equal(load_graph_auto(path), graph)
-        assert not os.path.exists(sidecar_path(path))
-
-    def test_use_sidecar_false_skips_cache(self, graph, tmp_path):
-        path = tmp_path / "g.txt"
-        save_edge_list(graph, path)
-        assert _graphs_equal(
-            load_graph_auto(path, use_sidecar=False), graph
-        )
         assert not os.path.exists(sidecar_path(path))

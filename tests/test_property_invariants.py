@@ -108,7 +108,7 @@ def test_collection_estimate_within_structural_envelope(data, seed):
 
     reach = reachable_set(graph, seeds)
     for rr_id in np.flatnonzero(pool.covered_mask(seeds)):
-        assert int(pool.rr_sets[rr_id][0]) in reach
+        assert int(pool.set_nodes(rr_id)[0]) in reach
 
 
 @settings(max_examples=40, deadline=None)

@@ -68,7 +68,8 @@ class TestDistributionalEquivalence:
         gen.batch_size = 16
         pool = RRCollection(path10.n)
         pool.extend(64, gen, np.random.default_rng(3))
-        for rr in pool.rr_sets:
+        for rr_id in range(pool.num_rr):
+            rr = pool.set_nodes(rr_id)
             root = rr[0]
             assert sorted(rr.tolist()) == list(range(root + 1))
 
@@ -90,7 +91,7 @@ class TestStopMask:
         stop[hub] = True
         pool, gen = _sizes(wc_graph, VanillaICGenerator, 400, seed=9,
                            batch_size=64, stop_mask=stop)
-        contains_hub = sum(hub in set(rr.tolist()) for rr in pool.rr_sets)
+        contains_hub = len(pool.rrs_containing(hub))
         assert gen.counters.sentinel_hits == contains_hub
         assert 0 < contains_hub < 400
 

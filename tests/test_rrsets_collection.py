@@ -43,8 +43,8 @@ class TestInvertedIndex:
 
     def test_node_to_rrs(self):
         c = manual_collection()
-        assert c.node_to_rrs[1] == [0, 2]
-        assert c.node_to_rrs[4] == []
+        assert c.rrs_containing(1).tolist() == [0, 2]
+        assert c.rrs_containing(4).tolist() == []
 
 
 class TestCoverage:
@@ -79,13 +79,6 @@ class TestExtend:
         c.extend(25, VanillaICGenerator(wc_graph), rng)
         assert c.num_rr == 25
 
-    def test_extend_to_idempotent(self, wc_graph, rng):
-        c = RRCollection(wc_graph.n)
-        gen = VanillaICGenerator(wc_graph)
-        c.extend_to(30, gen, rng)
-        c.extend_to(10, gen, rng)  # already larger: no-op
-        assert c.num_rr == 30
-
     def test_negative_count_rejected(self, wc_graph, rng):
         c = RRCollection(wc_graph.n)
         with pytest.raises(ValueError):
@@ -94,17 +87,20 @@ class TestExtend:
     def test_index_consistent_after_extend(self, wc_graph, rng):
         c = RRCollection(wc_graph.n)
         c.extend(50, VanillaICGenerator(wc_graph), rng)
-        # node_to_rrs must exactly invert rr_sets
-        for rr_id, rr in enumerate(c.rr_sets):
-            for node in rr:
-                assert rr_id in c.node_to_rrs[node]
-        assert sum(len(lst) for lst in c.node_to_rrs) == c.total_size
+        # rrs_containing must exactly invert set_nodes
+        for rr_id in range(c.num_rr):
+            for node in c.set_nodes(rr_id):
+                assert rr_id in c.rrs_containing(node)
+        assert (
+            sum(len(c.rrs_containing(node)) for node in range(c.n))
+            == c.total_size
+        )
 
     def test_extend_with_stop_mask(self, wc_graph, rng):
         c = RRCollection(wc_graph.n)
         stop = np.ones(wc_graph.n, dtype=bool)
         c.extend(20, VanillaICGenerator(wc_graph), rng, stop_mask=stop)
-        assert all(len(rr) == 1 for rr in c.rr_sets)
+        assert (c.set_sizes() == 1).all()
 
 
 class TestDirtySetOps:
@@ -120,8 +116,8 @@ class TestDirtySetOps:
         nodes = np.array([0, 3, 17, wc_graph.n - 1])
         naive = [
             rr_id
-            for rr_id, rr in enumerate(c.rr_sets)
-            if set(rr) & set(nodes.tolist())
+            for rr_id in range(c.num_rr)
+            if set(c.set_nodes(rr_id).tolist()) & set(nodes.tolist())
         ]
         got = c.sets_touching(nodes)
         np.testing.assert_array_equal(got, naive)

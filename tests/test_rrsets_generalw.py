@@ -114,8 +114,8 @@ class TestLTDistributionalEquivalence:
         # consecutive pair is joined by an in-edge of the earlier node.
         pool, _ = _sizes(lt_graph, LTGenerator, 200, seed=3, batch_size=64)
         indptr, indices = lt_graph.in_indptr, lt_graph.in_indices
-        for rr in pool.rr_sets:
-            nodes = rr.tolist()
+        for rr_id in range(pool.num_rr):
+            nodes = pool.set_nodes(rr_id).tolist()
             assert len(set(nodes)) == len(nodes)
             for a, b in zip(nodes, nodes[1:]):
                 assert b in indices[indptr[a]: indptr[a + 1]]
@@ -152,7 +152,7 @@ class TestStopMask:
         stop[hub] = True
         pool, gen = _sizes(lt_graph, LTGenerator, 400, seed=9,
                            batch_size=64, stop_mask=stop)
-        contains_hub = sum(hub in set(rr.tolist()) for rr in pool.rr_sets)
+        contains_hub = len(pool.rrs_containing(hub))
         assert gen.counters.sentinel_hits == contains_hub
         assert 0 < contains_hub < 400
 
@@ -162,7 +162,7 @@ class TestStopMask:
         stop[hub] = True
         pool, gen = _sizes(skewed_graph, SubsimICGenerator, 400, seed=9,
                            batch_size=64, stop_mask=stop)
-        contains_hub = sum(hub in set(rr.tolist()) for rr in pool.rr_sets)
+        contains_hub = len(pool.rrs_containing(hub))
         assert gen.counters.sentinel_hits == contains_hub
 
 

@@ -47,8 +47,8 @@ class TestArrayRoundTrips:
         flat = collection_to_arrays(coll)
         back = collection_from_arrays(flat["data"], flat["sizes"], flat["n"])
         assert back.num_rr == coll.num_rr
-        assert [list(rr) for rr in back.rr_sets] == [
-            list(rr) for rr in coll.rr_sets
+        assert [back.set_nodes(i).tolist() for i in range(back.num_rr)] == [
+            coll.set_nodes(i).tolist() for i in range(coll.num_rr)
         ]
         assert back.coverage([3]) == coll.coverage([3])
 
@@ -81,7 +81,7 @@ class TestStore:
         meta, pools = store.load()
         assert meta == {"round": 3, "lower": 1.5, "seeds": [4]}
         assert pools["pool1"].num_rr == 2
-        assert list(pools["pool1"].rr_sets[0]) == [1, 2]
+        assert pools["pool1"].set_nodes(0).tolist() == [1, 2]
 
     def test_maybe_save_thins_to_interval(self, tmp_path):
         store = CheckpointStore(tmp_path / "run.npz", every=3)

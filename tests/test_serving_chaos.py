@@ -93,6 +93,27 @@ class TestWorkerCrash:
             assert metrics["counters"]["serving.retries"] == 1
             assert metrics["counters"]["serving.worker_crashes"] == 1
 
+    def test_retry_sleeps_through_the_server_policy(self, graph, clean_answer):
+        faults = ServerFaultInjector(at_worker=1, mode="raise")
+        server = _server(graph, faults=faults, query_retries=1)
+        sleeps = []
+        server.query_retry.sleep = sleeps.append
+        with server:
+            status, payload = ServeClient(*server.address).query(
+                "pa", 5, tenant="alice"
+            )
+        assert status == 200
+        assert payload["seeds"] == clean_answer
+        # One retry, one backoff: the configured base scaled by the
+        # configured jitter, not a bare exponential.
+        config = server.config
+        assert len(sleeps) == 1
+        assert (
+            config.retry_backoff
+            <= sleeps[0]
+            <= config.retry_backoff * (1 + config.retry_jitter)
+        )
+
     def test_crash_mid_query_recovers_bit_identically(self, graph, clean_answer):
         # The inherited rr_set axis fires *inside* session.maximize: the
         # crash leaves a half-extended bank, the session is invalidated,
@@ -123,6 +144,19 @@ class TestWorkerCrash:
             status, retry = client.query("pa", 5, tenant="alice")
             assert status == 200
             assert retry["seeds"] == clean_answer
+
+
+class TestGraphLoadFailure:
+    def test_missing_path_reports_attempts(self, tmp_path):
+        server = QueryServer(ServerConfig(seed=7))
+        server.registry.add_path("gone", str(tmp_path / "absent.npz"))
+        job = server._parse({"graph": "gone", "k": 3})
+        server._execute(job)
+        assert job.status_code == 500
+        assert job.response["error"] == "graph_load_failed"
+        # Every load attempt the registry's policy allows was spent.
+        assert job.response["attempts"] == 3
+        assert server.metrics.value("serving.graph_load_failures") == 1
 
 
 class TestTruncatedSnapshot:

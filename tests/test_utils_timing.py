@@ -2,9 +2,7 @@
 
 import time
 
-import pytest
-
-from repro.utils.timing import Stopwatch, Timer
+from repro.utils.timing import Timer
 
 
 class TestTimer:
@@ -16,42 +14,3 @@ class TestTimer:
     def test_elapsed_zero_before_use(self):
         assert Timer().elapsed == 0.0
 
-
-class TestStopwatch:
-    def test_accumulates_multiple_spans(self):
-        sw = Stopwatch()
-        for _ in range(3):
-            sw.start("a")
-            time.sleep(0.003)
-            sw.stop("a")
-        assert sw.total("a") >= 0.008
-
-    def test_independent_names(self):
-        sw = Stopwatch()
-        sw.start("a")
-        sw.stop("a")
-        assert sw.total("b") == 0.0
-
-    def test_stop_returns_span(self):
-        sw = Stopwatch()
-        sw.start("x")
-        assert sw.stop("x") >= 0.0
-
-    def test_double_start_rejected(self):
-        sw = Stopwatch()
-        sw.start("x")
-        with pytest.raises(RuntimeError):
-            sw.start("x")
-
-    def test_stop_without_start_rejected(self):
-        with pytest.raises(RuntimeError):
-            Stopwatch().stop("never")
-
-    def test_as_dict_snapshot(self):
-        sw = Stopwatch()
-        sw.start("a")
-        sw.stop("a")
-        d = sw.as_dict()
-        assert set(d) == {"a"}
-        d["a"] = -1.0  # mutating the snapshot must not affect the stopwatch
-        assert sw.total("a") >= 0.0
