@@ -76,11 +76,6 @@ def _save(graph: CSRGraph, path: str) -> None:
         io.save_edge_list(graph, path)
 
 
-def _apply_weights(graph: CSRGraph, scheme: str, seed: int) -> CSRGraph:
-    """Apply a weight scheme named like "wc", "wc-variant:2.5", "uniform:0.01"."""
-    return weights.apply_scheme(graph, scheme, seed=seed)
-
-
 class _SigintCancel:
     """Turn Ctrl-C into a cooperative cancellation instead of a traceback.
 
@@ -138,7 +133,7 @@ def cmd_generate(args) -> int:
     else:  # dataset stand-in
         graph = workloads.make_dataset(args.model, scale=args.scale, seed=args.seed)
     if args.weights:
-        graph = _apply_weights(graph, args.weights, args.seed)
+        graph = weights.apply_scheme(graph, args.weights, seed=args.seed)
     _save(graph, args.output)
     print(f"wrote {graph.n} nodes / {graph.m} edges to {args.output}")
     return 0
@@ -215,7 +210,7 @@ def cmd_run(args) -> int:
         lambda: io.load_graph_auto(args.graph), transient=io.is_transient
     )
     if args.weights:
-        graph = _apply_weights(graph, args.weights, args.seed)
+        graph = weights.apply_scheme(graph, args.weights, seed=args.seed)
     kwargs = {}
     if args.max_rr_sets and args.algorithm in ("imm", "tim+", "imm-lt"):
         kwargs["max_rr_sets"] = args.max_rr_sets
@@ -342,7 +337,7 @@ def cmd_run(args) -> int:
 def cmd_evaluate(args) -> int:
     graph = io.load_graph_auto(args.graph)
     if args.weights:
-        graph = _apply_weights(graph, args.weights, args.seed)
+        graph = weights.apply_scheme(graph, args.weights, seed=args.seed)
     seeds = [int(s) for s in args.seeds.split(",")]
     spread = estimate_spread(
         graph, seeds, model=args.model,
@@ -362,7 +357,7 @@ def cmd_audit(args) -> int:
 
     graph = io.load_graph_auto(args.graph)
     if args.weights:
-        graph = _apply_weights(graph, args.weights, args.seed)
+        graph = weights.apply_scheme(graph, args.weights, seed=args.seed)
     seeds = [int(s) for s in args.seeds.split(",")]
     cert = certify_result(
         graph, seeds, k=args.k, num_rr=args.num_rr,
@@ -402,7 +397,7 @@ def cmd_calibrate(args) -> int:
 def cmd_rr_stats(args) -> int:
     graph = io.load_graph_auto(args.graph)
     if args.weights:
-        graph = _apply_weights(graph, args.weights, args.seed)
+        graph = weights.apply_scheme(graph, args.weights, seed=args.seed)
     rows = []
     for name in args.generators.split(","):
         try:
@@ -455,7 +450,7 @@ def cmd_profile(args) -> int:
 
     graph = io.load_graph_auto(args.graph)
     if args.weights:
-        graph = _apply_weights(graph, args.weights, args.seed)
+        graph = weights.apply_scheme(graph, args.weights, seed=args.seed)
     sentinel = (
         [int(s) for s in args.sentinels.split(",")] if args.sentinels else None
     )
@@ -613,7 +608,7 @@ def cmd_stability(args) -> int:
 
     graph = io.load_graph_auto(args.graph)
     if args.weights:
-        graph = _apply_weights(graph, args.weights, args.seed)
+        graph = weights.apply_scheme(graph, args.weights, seed=args.seed)
     report = stability_report(
         graph,
         args.algorithm,

@@ -13,7 +13,6 @@ from typing import Optional
 
 from repro.core.registry import get_algorithm
 from repro.core.results import IMResult
-from repro.engine.session import QuerySession
 from repro.estimation.montecarlo import SpreadEstimate, estimate_spread
 from repro.graphs.csr import CSRGraph
 from repro.runtime.budget import Budget
@@ -26,31 +25,6 @@ class InfluenceMaximizer:
 
     def __init__(self, graph: CSRGraph) -> None:
         self.graph = graph
-
-    def session(
-        self,
-        algorithm: str = "hist+subsim",
-        *,
-        seed: SeedLike = None,
-        byte_cap: Optional[int] = None,
-        **algorithm_kwargs,
-    ) -> QuerySession:
-        """A :class:`~repro.engine.session.QuerySession` over this graph.
-
-        Successive ``maximize`` calls on the session share its RR banks, so
-        a later query whose schedule stops inside an already-materialised
-        prefix generates (almost) nothing new.  ``byte_cap`` bounds the
-        banks' resident bytes (enforced between queries).  This is the one
-        way to reuse RR sets across queries, and (with ``shards=``) to run
-        on the sharded worker runtime.
-        """
-        return QuerySession(
-            self.graph,
-            algorithm,
-            seed=seed,
-            byte_cap=byte_cap,
-            **algorithm_kwargs,
-        )
 
     def maximize(
         self,
@@ -85,7 +59,8 @@ class InfluenceMaximizer:
         :meth:`~repro.algorithms.base.IMAlgorithm.run` — see its docstring
         for the partial-result, resume and observability semantics.
         Every call is a cold, independent run; repeated queries that
-        should share RR sets go through :meth:`session`.
+        should share RR sets go through
+        :class:`~repro.engine.session.QuerySession`.
         """
         algo = get_algorithm(algorithm, self.graph, **algorithm_kwargs)
         return algo.run(

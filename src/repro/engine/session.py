@@ -68,7 +68,6 @@ class BankProvider:
         *,
         rng: Optional[np.random.Generator] = None,
         entropy: Optional[int] = None,
-        reuse: bool = False,
         byte_cap: Optional[int] = None,
         session_metrics: Optional[MetricsRegistry] = None,
         shard_pool: Optional[Any] = None,
@@ -79,7 +78,6 @@ class BankProvider:
                 "(transient mode) or an entropy (session mode)"
             )
         self.graph = graph
-        self.reuse = reuse
         self.byte_cap = byte_cap
         self.metrics = session_metrics
         self.entropy = entropy
@@ -148,7 +146,7 @@ class BankProvider:
                 stop_mask=stop_mask,
                 reusable=False,
             )
-        persistent = self.reuse and reusable and stop_mask is None
+        persistent = reusable and stop_mask is None
         bank = self._banks.get(role) if persistent else None
         if bank is None:
             gen = make_generator()
@@ -295,7 +293,6 @@ class QuerySession:
         self.provider = BankProvider(
             graph,
             entropy=_session_entropy(seed),
-            reuse=True,
             byte_cap=byte_cap,
             session_metrics=self.metrics,
             shard_pool=self._shard_pool,

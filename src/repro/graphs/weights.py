@@ -21,7 +21,8 @@ probabilities from ``(src, dst)`` and rebuilds the dual-CSR structure, keeping
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+import math
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -183,30 +184,52 @@ def lt_normalized_weights(graph: CSRGraph) -> CSRGraph:
     return reweight(graph, fn, f"lt:{graph.weight_model}")
 
 
-def apply_scheme(graph: CSRGraph, scheme: str, seed: SeedLike = None) -> CSRGraph:
-    """Apply a weight scheme named like ``"wc"``, ``"wc-variant:2.5"``,
-    ``"uniform:0.01"``.
+#: schemes that take no parameter: name -> ``weigh(graph, seed)``
+_PLAIN: Dict[str, Callable[[CSRGraph, SeedLike], CSRGraph]] = {
+    "wc": lambda graph, seed: wc_weights(graph),
+    "exponential": lambda graph, seed: exponential_weights(graph, seed=seed),
+    "weibull": lambda graph, seed: weibull_weights(graph, seed=seed),
+    "trivalency": lambda graph, seed: trivalency_weights(graph, seed=seed),
+    "lt": lambda graph, seed: lt_normalized_weights(graph),
+}
+#: schemes named ``name:<parameter>``: name -> ``(placeholder, lowest,
+#: highest, weigh(graph, parameter))``
+_PARAMETERISED: Dict[str, Tuple[str, float, float, Callable[..., CSRGraph]]] = {
+    "wc-variant": ("theta", 1.0, math.inf, wc_variant_weights),
+    "uniform": ("p", 0.0, 1.0, uniform_weights),
+}
+
+
+def parse_scheme(scheme: str) -> Callable[[CSRGraph, SeedLike], CSRGraph]:
+    """Parse a weight scheme named like ``"wc"``, ``"wc-variant:2.5"`` or
+    ``"uniform:0.01"`` into ``weigh(graph, seed)``, touching no graph.
 
     This is the string form the CLI and the serving layer's graph registry
-    share: a scheme name, optionally followed by ``:<parameter>``.  Raises
-    :class:`~repro.utils.exceptions.ConfigurationError` for unknown names.
+    share.  Raises :class:`~repro.utils.exceptions.ConfigurationError` for
+    an unknown name and for a missing, non-numeric, out-of-range or
+    unexpected parameter.
     """
-    name, _, arg = scheme.partition(":")
-    if name == "wc":
-        return wc_weights(graph)
-    if name == "wc-variant":
-        return wc_variant_weights(graph, float(arg))
-    if name == "uniform":
-        return uniform_weights(graph, float(arg))
-    if name == "exponential":
-        return exponential_weights(graph, seed=seed)
-    if name == "weibull":
-        return weibull_weights(graph, seed=seed)
-    if name == "trivalency":
-        return trivalency_weights(graph, seed=seed)
-    if name == "lt":
-        return lt_normalized_weights(graph)
-    raise ConfigurationError(
-        f"unknown weight scheme {scheme!r}; use wc, wc-variant:<theta>, "
-        "uniform:<p>, exponential, weibull, trivalency, or lt"
-    )
+    name, sep, arg = scheme.partition(":")
+    if name in _PLAIN and not sep:
+        return _PLAIN[name]
+    if name not in _PARAMETERISED:
+        raise ConfigurationError(
+            f"unknown weight scheme {scheme!r}; use wc, wc-variant:<theta>, "
+            "uniform:<p>, exponential, weibull, trivalency, or lt"
+        )
+    placeholder, lowest, highest, weigh = _PARAMETERISED[name]
+    try:
+        value = float(arg)
+    except ValueError:
+        value = math.nan
+    if not lowest <= value <= highest:
+        raise ConfigurationError(
+            f"bad weight scheme {scheme!r}; use {name}:<{placeholder}> with "
+            f"{placeholder} in [{lowest:g}, {highest:g}]"
+        )
+    return lambda graph, seed: weigh(graph, value)
+
+
+def apply_scheme(graph: CSRGraph, scheme: str, seed: SeedLike = None) -> CSRGraph:
+    """Apply the weight scheme :func:`parse_scheme` reads from ``scheme``."""
+    return parse_scheme(scheme)(graph, seed)

@@ -62,8 +62,12 @@ class GraphRegistry:
         """Register a graph file to be loaded lazily on first use.
 
         ``weight_scheme`` (e.g. ``"wc"``, ``"uniform:0.01"``) is applied
-        after loading with :func:`repro.graphs.weights.apply_scheme`.
+        after loading with :func:`repro.graphs.weights.apply_scheme`.  It
+        is parsed here, so a bad scheme raises :class:`ConfigurationError`
+        at registration rather than on every query of the graph.
         """
+        if weight_scheme:
+            weights.parse_scheme(weight_scheme)
         with self._lock:
             self._paths[name] = (path, weight_scheme, seed)
             self._graphs.pop(name, None)

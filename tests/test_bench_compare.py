@@ -22,23 +22,20 @@ def _nested(dotted, value):
     return doc
 
 
-def write_results(root, session=1.0, generalw=(10.0, 160.0), dynamic=8.0):
-    """One file per gate headline; the three named ones are tunable."""
+def write_results(root, rrgen=8.0, generalw=(10.0, 160.0)):
+    """One file per gate headline; the two named ones are tunable."""
     root.mkdir(parents=True, exist_ok=True)
     for filename, dotted, _ in bench_compare.HEADLINES:
         (root / filename).write_text(json.dumps(_nested(dotted, 5.0)))
-    (root / "BENCH_session.json").write_text(
-        json.dumps({"second_query_reduction": session})
-    )
+    (root / "BENCH_rrgen.json").write_text(json.dumps({
+        "generators": {"subsim": {"batched_speedup": rrgen}}
+    }))
     (root / "BENCH_generalw.json").write_text(json.dumps({
         "workloads": {
             "subsim-skewed": {"batched_speedup": generalw[0]},
             "lt": {"batched_speedup": generalw[1]},
         }
     }))
-    (root / "BENCH_dynamic.json").write_text(
-        json.dumps({"repair_speedup": dynamic})
-    )
 
 
 @pytest.fixture
@@ -61,19 +58,19 @@ class TestCompare:
 
     def test_small_drift_tolerated(self, dirs):
         base, cur = dirs
-        write_results(cur, session=0.9, generalw=(8.0, 130.0), dynamic=6.5)
+        write_results(cur, rrgen=6.5, generalw=(8.0, 130.0))
         assert bench_compare.main(
             ["--baseline-dir", str(base), "--current-dir", str(cur)]
         ) == 0
 
     def test_large_regression_fails(self, dirs, capsys):
         base, cur = dirs
-        write_results(cur, dynamic=2.0)  # 8.0 -> 2.0: way past 25%
+        write_results(cur, rrgen=2.0)  # 8.0 -> 2.0: way past 25%
         assert bench_compare.main(
             ["--baseline-dir", str(base), "--current-dir", str(cur)]
         ) == 1
         out = capsys.readouterr().out
-        assert "FAIL" in out and "repair_speedup" in out
+        assert "FAIL" in out and "generators.subsim.batched_speedup" in out
 
     def test_wildcard_covers_each_workload(self, dirs, capsys):
         base, cur = dirs
@@ -87,12 +84,12 @@ class TestCompare:
 
     def test_commit_message_waiver_downgrades_failure(self, dirs, capsys):
         base, cur = dirs
-        write_results(cur, dynamic=2.0)
+        write_results(cur, rrgen=2.0)
         code = bench_compare.main([
             "--baseline-dir", str(base),
             "--current-dir", str(cur),
             "--commit-message",
-            "tune repair path\n\nknown slowdown [bench-waiver]",
+            "tune the kernel\n\nknown slowdown [bench-waiver]",
         ])
         assert code == 0
         assert "WAIVED" in capsys.readouterr().out
@@ -101,7 +98,7 @@ class TestCompare:
         base, cur = dirs
         write_results(cur)
         (base / "BENCH_rrgen.json").unlink()  # no committed baseline
-        (cur / "BENCH_dynamic.json").unlink()  # not produced this run
+        (cur / "BENCH_generalw.json").unlink()  # not produced this run
         assert bench_compare.main(
             ["--baseline-dir", str(base), "--current-dir", str(cur)]
         ) == 1
@@ -109,17 +106,17 @@ class TestCompare:
         # A headline that cannot be checked is a failure, never a skip:
         # otherwise coverage could be lost silently.
         assert "FAIL  BENCH_rrgen.json: no committed baseline" in out
-        assert "FAIL  BENCH_dynamic.json: not produced" in out
+        assert "FAIL  BENCH_generalw.json: not produced" in out
 
     def test_baseline_without_headline_path_fails(self, dirs, capsys):
         base, cur = dirs
         write_results(cur)
-        (base / "BENCH_sharded.json").write_text(json.dumps({"other": 1.0}))
+        (base / "BENCH_rrgen.json").write_text(json.dumps({"other": 1.0}))
         assert bench_compare.main(
             ["--baseline-dir", str(base), "--current-dir", str(cur)]
         ) == 1
         out = capsys.readouterr().out
-        assert "FAIL  BENCH_sharded.json: baseline lacks" in out
+        assert "FAIL  BENCH_rrgen.json: baseline lacks" in out
 
     def test_committed_results_pass_against_themselves(self, capsys):
         results = (

@@ -109,6 +109,14 @@ class TestRun:
         assert len(payload["seeds"]) == 3
         assert payload["status"] == "complete"
 
+    def test_bad_weight_parameter_rejected(self, weighted_npz, capsys):
+        rc = main([
+            "run", weighted_npz, "--k", "3", "--weights", "uniform:abc",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "uniform:abc" in err
+
     def test_bad_batch_size_rejected(self, weighted_npz, capsys):
         rc = main([
             "run", weighted_npz, "--algorithm", "subsim", "--k", "3",
@@ -423,6 +431,27 @@ class TestServeCli:
         # Graph loads use the retry policy built from the server config,
         # so their jitter is seeded with --seed.
         assert server.registry._retry.seed == 11
+
+
+    def test_bad_weight_scheme_exits_before_binding(
+        self, weighted_npz, monkeypatch, capsys
+    ):
+        import signal
+
+        def pause():
+            raise KeyboardInterrupt
+
+        # A daemon that did start would return 0 from this pause.
+        monkeypatch.setattr(signal, "pause", pause)
+        rc = main([
+            "serve", "--graph", f"demo={weighted_npz}", "--port", "0",
+            "--weights", "nonsense",
+        ])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "serving" not in captured.out
+        assert captured.err.startswith("error:")
+        assert "unknown weight scheme" in captured.err
 
 
 class TestShardsFlag:

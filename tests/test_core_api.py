@@ -90,14 +90,18 @@ class TestFacade:
 
 class TestFacadeSessions:
     def test_session_returns_query_session(self, wc_graph):
-        from repro.engine.session import QuerySession
+        from repro import QuerySession
+        from repro.engine import session as engine_session
 
-        session = InfluenceMaximizer(wc_graph).session("subsim", seed=4)
-        assert isinstance(session, QuerySession)
+        # The top-level export is the engine's session: the one warm path.
+        session = QuerySession(wc_graph, "subsim", seed=4)
+        assert isinstance(session, engine_session.QuerySession)
         assert len(session.maximize(3, eps=0.4).seeds) == 3
 
     def test_reuse_pool_shares_sets_across_calls(self, wc_graph):
-        session = InfluenceMaximizer(wc_graph).session("subsim", seed=9)
+        from repro import QuerySession
+
+        session = QuerySession(wc_graph, "subsim", seed=9)
         first = session.maximize(6, eps=0.3)
         second = session.maximize(3, eps=0.3)
         assert first.extras["session"]["query_index"] == 1

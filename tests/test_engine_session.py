@@ -9,6 +9,16 @@ from repro.engine.session import BankProvider, QuerySession
 from repro.utils.exceptions import CheckpointError, ConfigurationError
 
 
+@pytest.fixture(scope="module")
+def wc_graph_1500():
+    from repro.graphs.generators import preferential_attachment
+    from repro.graphs.weights import wc_weights
+
+    return wc_weights(
+        preferential_attachment(1500, 10, seed=1, reciprocal=0.3)
+    )
+
+
 class TestSamplingSchedule:
     def test_doubling_geometry(self):
         sched = SamplingSchedule(100, 1600, 5)
@@ -57,14 +67,14 @@ class TestBankProvider:
         def make():
             return VanillaICGenerator(wc_graph)
 
-        p1 = BankProvider(wc_graph, entropy=42, reuse=True)
+        p1 = BankProvider(wc_graph, entropy=42)
         p1.begin_query(None)
         a_first = p1.get("r1", make)
         a_first.ensure(10)
 
         # Same role requested after other roles, in another provider: the
         # stream origin is identical.
-        p2 = BankProvider(wc_graph, entropy=42, reuse=True)
+        p2 = BankProvider(wc_graph, entropy=42)
         p2.begin_query(None)
         p2.get("zzz", make).ensure(3)
         a_second = p2.get("r1", make)
@@ -80,7 +90,7 @@ class TestBankProvider:
         def make():
             return VanillaICGenerator(wc_graph)
 
-        p = BankProvider(wc_graph, entropy=1, reuse=True)
+        p = BankProvider(wc_graph, entropy=1)
         p.begin_query(None)
         cached = p.get("plain", make)
         masked = p.get(
@@ -114,16 +124,22 @@ class TestWarmColdIdentity:
         assert warm_second.lower_bound == cold_result.lower_bound
         assert warm_second.upper_bound == cold_result.upper_bound
 
-    def test_warm_query_reuses_sets(self, wc_graph):
-        session = QuerySession(wc_graph, "subsim", seed=5)
-        first = session.maximize(10, eps=0.3)
-        second = session.maximize(4, eps=0.3)
-        assert first.extras["session"]["sets_reused"] == 0
-        assert second.extras["session"]["sets_reused"] > 0
-        assert (
-            second.extras["session"]["sets_generated"]
-            <= first.extras["session"]["sets_generated"]
-        )
+    def test_warm_query_reuses_sets(self, wc_graph, wc_graph_1500):
+        cases = [
+            (wc_graph, 5, (10, 4), False),
+            # n=1500 PA+WC, k=50 then k=20: the smaller second query stops
+            # inside the prefix the first one filled, so it draws nothing.
+            (wc_graph_1500, 7, (50, 20), True),
+        ]
+        for graph, seed, ks, all_reused in cases:
+            session = QuerySession(graph, "subsim", seed=seed)
+            first = session.maximize(ks[0], eps=0.3).extras["session"]
+            second = session.maximize(ks[1], eps=0.3).extras["session"]
+            assert first["sets_reused"] == 0
+            assert second["sets_reused"] > 0
+            assert second["sets_generated"] <= first["sets_generated"]
+            if all_reused:
+                assert second["sets_generated"] == 0
 
     def test_session_metrics_accumulate(self, wc_graph):
         session = QuerySession(wc_graph, "subsim", seed=5)

@@ -434,6 +434,91 @@ class TestRepair:
                     bank.pool.set_nodes(i), before[i]
                 )
 
+    @staticmethod
+    def _burst_churn_delta(graph, fraction, seed):
+        """A delta over ~``fraction`` of the edges, in per-user bursts.
+
+        ``fraction * m / 4`` users (uniform over nodes with in-degree >= 2)
+        each lose one in-edge, get one reweighted and gain two new ones, so
+        the touched nodes are those users.
+        """
+        from repro.graphs.dynamic import GraphDelta
+
+        rng = np.random.default_rng(seed)
+        users = rng.choice(
+            np.flatnonzero(np.diff(graph.in_indptr) >= 2),
+            max(1, int(round(graph.m * fraction)) // 4),
+            replace=False,
+        )
+        srcs = np.repeat(np.arange(graph.n), np.diff(graph.out_indptr))
+        existing = set(zip(srcs.tolist(), graph.out_indices.tolist()))
+        deletes, updates, inserts = [], [], []
+        for v in users.tolist():
+            block = graph.in_indices[graph.in_indptr[v]:graph.in_indptr[v + 1]]
+            lost, reweighted = rng.choice(len(block), 2, replace=False)
+            deletes.append((int(block[lost]), v))
+            updates.append((int(block[reweighted]), v, rng.uniform(0.01, 0.5)))
+            gained = 0
+            while gained < 2:
+                u = int(rng.integers(0, graph.n))
+                if u != v and (u, v) not in existing:
+                    existing.add((u, v))
+                    inserts.append((u, v, rng.uniform(0.01, 0.5)))
+                    gained += 1
+        return GraphDelta(inserts=inserts, deletes=deletes, updates=updates)
+
+    def test_journal_replay_repair_matches_cold_distribution(self):
+        """Replaying the journal on the mutated graph must give a pool
+        distributed like a cold pool there: the property that makes
+        keeping clean sets across a delta sound."""
+        scipy_stats = pytest.importorskip("scipy.stats")
+        from repro.graphs.generators import preferential_attachment
+        from repro.graphs.weights import wc_weights
+        from repro.rrsets.subsim import SubsimICGenerator
+
+        def graph():
+            return wc_weights(
+                preferential_attachment(1500, 3, seed=1, reciprocal=0.3)
+            )
+
+        def filled_bank(graph, entropy):
+            bank = RRBank(
+                graph,
+                SubsimICGenerator(graph),
+                np.random.default_rng(
+                    np.random.SeedSequence(entropy, spawn_key=(1,))
+                ),
+                role="r",
+                reusable=True,
+                entropy=entropy,
+            )
+            bank.ensure(4000)
+            return bank
+
+        warm_graph = graph()
+        delta = self._burst_churn_delta(warm_graph, 0.01, seed=11)
+        warm = filled_bank(warm_graph, entropy=7)
+        touched = warm_graph.apply_delta(delta)
+        stats = warm.repair(touched)
+        assert stats["num_dirty"] > 0
+        assert stats["num_fallback"] == 0  # every dirty set was replayed
+
+        cold_graph = graph()
+        cold_graph.apply_delta(delta)
+        cold = filled_bank(cold_graph, entropy=8)
+        warm_sizes, cold_sizes = warm.pool.set_sizes(), cold.pool.set_sizes()
+        ks = scipy_stats.ks_2samp(warm_sizes, cold_sizes)
+        assert ks.pvalue > 0.01
+        # The whole pool is ~97% clean sets, so the check above is blind to
+        # all but gross repair faults.  The sets holding a touched node are
+        # the replayed ones; conditioned on that same event they must
+        # still match the cold pool.
+        ks = scipy_stats.ks_2samp(
+            warm_sizes[warm.pool.sets_touching(touched)],
+            cold_sizes[cold.pool.sets_touching(touched)],
+        )
+        assert ks.pvalue > 0.01
+
     def test_uncovered_dirty_sets_fall_back_to_fresh_seeds(self):
         from repro.graphs.dynamic import GraphDelta
 

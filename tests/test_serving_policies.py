@@ -276,6 +276,13 @@ class TestGraphRegistry:
         # Loading is cached: same object on repeat access.
         assert registry.get("g") is loaded
 
+    @pytest.mark.parametrize("scheme", ["nonsense", "uniform:abc", "wc:2"])
+    def test_bad_weight_scheme_rejected_at_registration(self, tmp_path, scheme):
+        registry = GraphRegistry()
+        with pytest.raises(ConfigurationError, match="weight scheme"):
+            registry.add_path("g", str(tmp_path / "g.npz"), weight_scheme=scheme)
+        assert "g" not in registry
+
     def test_lazy_load_npz(self, graph, tmp_path):
         path = tmp_path / "g.npz"
         save_npz(graph, path)

@@ -8,10 +8,13 @@ the triggering commit message carries a ``[bench-waiver]`` marker — the
 escape hatch for intentional trade-offs, which still prints the full
 comparison so the regression is reviewed, not hidden.
 
-Headline metrics are ratios (speedups, reductions), so they are *less*
-noisy than raw wall-clock on shared runners, but noise is still real:
-the threshold is deliberately loose and this gate runs nightly, not on
-every push.
+Headline metrics are kernel speedups (ratios), so they are *less* noisy
+than raw wall-clock on shared runners, but noise is still real: the
+threshold is deliberately loose and this gate runs nightly, not on every
+push.  Query-level claims (warm-session reuse, HTTP serving, delta repair)
+are not gated here: the end-to-end harness in ``benchmarks/e2e/`` measures
+them (``warm-hi``'s ``bank.reuse_ratio``; ``serve-mixed``'s latency,
+throughput, ``bank.repair_share`` and ``bank.sets_repaired``).
 
 Usage::
 
@@ -42,10 +45,7 @@ WAIVER_MARKER = "[bench-waiver]"
 HEADLINES: List[Tuple[str, str, str]] = [
     ("BENCH_rrgen.json", "generators.*.batched_speedup", "higher"),
     ("BENCH_generalw.json", "workloads.*.batched_speedup", "higher"),
-    ("BENCH_session.json", "second_query_reduction", "higher"),
-    ("BENCH_serving.json", "warm_speedup", "higher"),
     ("BENCH_sharded.json", "realloc.speedup", "higher"),
-    ("BENCH_dynamic.json", "repair_speedup", "higher"),
 ]
 
 
