@@ -66,7 +66,6 @@ class IMAlgorithm:
         self._control: Optional[RunControl] = None
         self._banks: Optional[BankProvider] = None
         self._resume_state = None
-        self._batch_size = 1
 
     # ------------------------------------------------------------------
     def run(
@@ -79,7 +78,6 @@ class IMAlgorithm:
         budget: Optional[Budget] = None,
         cancel: Optional[CancellationToken] = None,
         checkpoint: Union[None, str, CheckpointStore] = None,
-        checkpoint_every: int = 1,
         resume: bool = False,
         fault_injector: Optional[FaultInjector] = None,
         batch_size: int = 1,
@@ -92,14 +90,17 @@ class IMAlgorithm:
         ``delta`` defaults to ``1/n``; ``seed`` accepts anything
         :func:`repro.utils.rng.as_generator` does.
 
-        Runtime parameters (all keyword-only):
+        Runtime parameters (all keyword-only).  This is the one place they
+        are listed and checked: ``InfluenceMaximizer.maximize`` and
+        ``QuerySession.maximize`` forward them here unchanged.
 
         * ``budget`` — resource caps; expiry yields a ``status="partial"``
           result instead of an exception.
         * ``cancel`` — cooperative cancellation token, same degradation.
         * ``checkpoint`` — path (or ready store) where round-boundary state
-          is persisted every ``checkpoint_every`` rounds; cleared when the
-          run completes.
+          is persisted; cleared when the run completes.  A path saves at
+          every round boundary; ``CheckpointStore(path, every=N)`` thins
+          the saves to every N-th boundary.
         * ``resume`` — continue from the checkpoint if one exists (requires
           ``checkpoint``); the resumed run replays to a bit-identical final
           answer.
@@ -142,7 +143,7 @@ class IMAlgorithm:
             raise ConfigurationError(
                 f"batch_size must be >= 1, got {batch_size}"
             )
-        store = coerce_store(checkpoint, every=checkpoint_every)
+        store = coerce_store(checkpoint)
         if banks is not None and (store is not None or resume):
             raise ConfigurationError(
                 "run-level checkpoint/resume cannot be combined with a "
@@ -160,10 +161,10 @@ class IMAlgorithm:
             checkpoint=store,
             metrics=run_metrics,
             tracer=tracer,
+            batch_size=batch_size,
         )
         self._control = control
         self._resume_state = None
-        self._batch_size = int(batch_size)
         if resume and store.exists():
             meta, pools = store.load()
             self._validate_resume(meta, k, eps, delta)
@@ -206,7 +207,6 @@ class IMAlgorithm:
             self._banks = None
             self._resume_state = None
             self._control = None
-            self._batch_size = 1
         result.runtime_seconds = time.perf_counter() - begin
         if control.active or control.checkpoint is not None:
             result.extras.setdefault("runtime", control.snapshot())
@@ -228,7 +228,6 @@ class IMAlgorithm:
         gen = self.generator_cls(self.graph)
         if self._control is not None:
             self._control.adopt_generator(gen)
-        gen.batch_size = self._batch_size
         return gen
 
     def _bank(self, role: str, *, stop_mask=None, reusable: bool = True):
@@ -239,11 +238,7 @@ class IMAlgorithm:
         be a warm bank whose prefix previous queries already generated.
         """
         return self._banks.get(
-            role,
-            self._new_generator,
-            stop_mask=stop_mask,
-            reusable=reusable,
-            batch_size=self._batch_size,
+            role, self._new_generator, stop_mask=stop_mask, reusable=reusable
         )
 
     def _check(self) -> None:

@@ -58,16 +58,21 @@ from repro.utils.exceptions import ConfigurationError, ExecutionInterrupted
 from repro.utils.timing import Timer
 
 
-def _attach_control(control: Optional[RunControl], *generators: RRGenerator) -> None:
-    if control is not None:
-        for gen in generators:
+def _generator_factory(
+    graph: CSRGraph,
+    generator_cls: Type[RRGenerator],
+    control: Optional[RunControl],
+) -> Callable[[], RRGenerator]:
+    """A phase's bank factory: a fresh generator adopted into ``control``
+    (which carries the run's batch size)."""
+
+    def make() -> RRGenerator:
+        gen = generator_cls(graph)
+        if control is not None:
             control.adopt_generator(gen)
+        return gen
 
-
-def _configure_batching(batch_size: int, *generators: RRGenerator) -> None:
-    """Propagate the batch-size knob onto phase-local generators."""
-    for gen in generators:
-        gen.batch_size = batch_size
+    return make
 
 
 @dataclass
@@ -120,21 +125,10 @@ class SentinelSetPhase:
         graph: CSRGraph,
         generator_cls: Type[RRGenerator] = VanillaICGenerator,
         use_out_degree_tie_break: bool = True,
-        batch_size: int = 1,
     ) -> None:
         self.graph = graph
         self.generator_cls = generator_cls
         self.use_out_degree_tie_break = use_out_degree_tie_break
-        self.batch_size = batch_size
-
-    def _make_generator(self, control: Optional[RunControl]):
-        def make() -> RRGenerator:
-            gen = self.generator_cls(self.graph)
-            _attach_control(control, gen)
-            _configure_batching(self.batch_size, gen)
-            return gen
-
-        return make
 
     def run(
         self,
@@ -168,17 +162,11 @@ class SentinelSetPhase:
         provider = (
             banks if banks is not None else BankProvider.transient(graph, rng)
         )
-        make_gen = self._make_generator(control)
+        make_gen = _generator_factory(graph, self.generator_cls, control)
         # R1 holds plain (unmasked) RR sets — reusable across session
         # queries; R2 is stop-masked per candidate and rebuilt every query.
-        bank1 = provider.get(
-            "sentinel.r1", make_gen,
-            batch_size=self.batch_size,
-        )
-        bank2 = provider.get(
-            "sentinel.r2", make_gen, reusable=False,
-            batch_size=self.batch_size,
-        )
+        bank1 = provider.get("sentinel.r1", make_gen)
+        bank2 = provider.get("sentinel.r2", make_gen, reusable=False)
         metrics = control.metrics if control is not None else None
 
         candidate_b = 0
@@ -298,12 +286,10 @@ class IMSentinelPhase:
         graph: CSRGraph,
         generator_cls: Type[RRGenerator] = VanillaICGenerator,
         use_out_degree_tie_break: bool = True,
-        batch_size: int = 1,
     ) -> None:
         self.graph = graph
         self.generator_cls = generator_cls
         self.use_out_degree_tie_break = use_out_degree_tie_break
-        self.batch_size = batch_size
 
     def run(
         self,
@@ -346,22 +332,14 @@ class IMSentinelPhase:
         provider = (
             banks if banks is not None else BankProvider.transient(graph, rng)
         )
-
-        def make_gen() -> RRGenerator:
-            gen = self.generator_cls(graph)
-            _attach_control(control, gen)
-            _configure_batching(self.batch_size, gen)
-            return gen
-
+        make_gen = _generator_factory(graph, self.generator_cls, control)
         # Sentinel-stopped sets are specific to this query's sentinel set,
         # so neither pool is reusable across session queries.
         bank1 = provider.get(
-            "im.r1", make_gen, stop_mask=stop_mask, reusable=False,
-            batch_size=self.batch_size,
+            "im.r1", make_gen, stop_mask=stop_mask, reusable=False
         )
         bank2 = provider.get(
-            "im.r2", make_gen, stop_mask=stop_mask, reusable=False,
-            batch_size=self.batch_size,
+            "im.r2", make_gen, stop_mask=stop_mask, reusable=False
         )
         metrics = control.metrics if control is not None else None
         schedule = SamplingSchedule(theta0, max(theta0, theta_max), i_max)
@@ -537,8 +515,7 @@ class HIST(IMAlgorithm):
         else:
             with Timer() as t_sentinel, self._phase("sentinel"):
                 sentinel = SentinelSetPhase(
-                    self.graph, self.generator_cls, self.use_out_degree_tie_break,
-                    batch_size=self._batch_size,
+                    self.graph, self.generator_cls, self.use_out_degree_tie_break
                 ).run(k, eps1, delta1, rng, max_b=self.fixed_b,
                       control=self._control, banks=self._banks)
             phases["sentinel"] = t_sentinel.elapsed
@@ -583,8 +560,7 @@ class HIST(IMAlgorithm):
 
         with Timer() as t_im, self._phase("im_sentinel"):
             im = IMSentinelPhase(
-                self.graph, self.generator_cls, self.use_out_degree_tie_break,
-                batch_size=self._batch_size,
+                self.graph, self.generator_cls, self.use_out_degree_tie_break
             ).run(
                 k, eps, sentinel.seeds, eps2, delta2, rng,
                 control=self._control,

@@ -39,6 +39,7 @@ from repro.rrsets.lt import LTGenerator
 from repro.rrsets.subsim import SubsimICGenerator
 from repro.rrsets.vanilla import VanillaICGenerator
 from repro.runtime.budget import Budget
+from repro.runtime.checkpoint import CheckpointStore
 from repro.utils.exceptions import ReproError
 
 #: exit code for a run interrupted by Ctrl-C (after printing the partial
@@ -185,7 +186,7 @@ def _run_payload(result, args, graph) -> dict:
 def cmd_run(args) -> int:
     if (args.k is None) == (args.ks is None):
         raise ReproError("exactly one of --k or --ks is required")
-    ks = None
+    ks = [args.k]
     if args.ks is not None:
         ks = [int(s) for s in args.ks.split(",") if s.strip()]
         if not ks or any(k < 1 for k in ks):
@@ -197,13 +198,17 @@ def cmd_run(args) -> int:
             )
     # --ks already excludes --checkpoint/--resume, so a session (and the
     # shard runtime behind one) never meets a run-level checkpoint.
-    if args.reuse_pool and ks is None:
+    if args.reuse_pool and args.ks is None:
         raise ReproError("--reuse-pool requires --ks (a multi-query run)")
     if (args.shards is not None or args.spill_dir) and not args.reuse_pool:
         raise ReproError(
             "--shards/--spill-dir require --reuse-pool: the shard workers "
             "back a multi-query session (--ks ... --reuse-pool --shards S)"
         )
+    if args.resume and not args.checkpoint:
+        raise ReproError("--resume requires --checkpoint")
+    if args.batch_size < 1:
+        raise ReproError(f"--batch-size must be >= 1, got {args.batch_size}")
     from repro.serving.retry import RetryPolicy
 
     graph = RetryPolicy(attempts=args.load_retries + 1, seed=args.seed).call(
@@ -214,108 +219,80 @@ def cmd_run(args) -> int:
     kwargs = {}
     if args.max_rr_sets and args.algorithm in ("imm", "tim+", "imm-lt"):
         kwargs["max_rr_sets"] = args.max_rr_sets
-
-    def make_budget():
-        if args.timeout is None and args.max_edges is None:
-            return None
-        return Budget(
-            wall_clock_seconds=args.timeout,
-            max_edges_examined=args.max_edges,
-        )
-
-    if args.resume and not args.checkpoint:
-        raise ReproError("--resume requires --checkpoint")
-    if args.batch_size < 1:
-        raise ReproError(f"--batch-size must be >= 1, got {args.batch_size}")
-    want_metrics = bool(args.metrics_out or args.report)
-    want_trace = bool(args.trace_out or args.report)
+    store = None
+    if args.checkpoint:
+        store = CheckpointStore(args.checkpoint, every=args.checkpoint_every)
     metrics = None
-    if want_metrics:
+    if args.metrics_out or args.report:
         from repro.observability import MetricsRegistry
 
         metrics = MetricsRegistry()
 
-    if ks is not None:
-        queries = []
-        cancelled = False
-        with _SigintCancel() as interrupt:
-            if args.reuse_pool:
-                from repro.engine.session import QuerySession
+    def query_options(token) -> dict:
+        """The ``run()`` options of one query (a fresh budget each)."""
+        budget = None
+        if args.timeout is not None or args.max_edges is not None:
+            budget = Budget(
+                wall_clock_seconds=args.timeout,
+                max_edges_examined=args.max_edges,
+            )
+        return {
+            "budget": budget,
+            "cancel": token,
+            "checkpoint": store,
+            "resume": args.resume,
+            "batch_size": args.batch_size,
+            "metrics": metrics,
+            "trace": bool(args.trace_out or args.report),
+        }
 
-                session = QuerySession(
-                    graph, args.algorithm, seed=args.seed,
-                    shards=args.shards, spill_dir=args.spill_dir, **kwargs
-                )
-                try:
-                    for k in ks:
-                        result = session.maximize(
-                            k,
-                            eps=args.eps,
-                            budget=make_budget(),
-                            cancel=interrupt.token,
-                            batch_size=args.batch_size,
-                            metrics=metrics,
-                        )
-                        entry = _run_payload(result, args, graph)
-                        entry["k"] = k
-                        entry["session"] = result.extras.get("session")
-                        queries.append(entry)
-                        if interrupt.token.cancelled:
-                            cancelled = True
-                            break
-                    session_block = {
-                        "reuse_pool": True,
-                        "sets_generated": session.metrics.value(
-                            "bank.sets_generated"
-                        ),
-                        "sets_reused": session.metrics.value("bank.sets_reused"),
-                    }
-                finally:
-                    session.close()
-            else:
-                algo = get_algorithm(args.algorithm, graph, **kwargs)
-                for k in ks:
-                    result = algo.run(
-                        k,
-                        eps=args.eps,
-                        seed=args.seed,
-                        budget=make_budget(),
-                        cancel=interrupt.token,
-                        batch_size=args.batch_size,
-                        metrics=metrics,
-                    )
-                    entry = _run_payload(result, args, graph)
-                    entry["k"] = k
-                    queries.append(entry)
-                    if interrupt.token.cancelled:
-                        cancelled = True
-                        break
-                session_block = {"reuse_pool": False}
-        if args.metrics_out:
-            _write_json(args.metrics_out, metrics.snapshot())
+    session = None
+    if args.reuse_pool:
+        from repro.engine.session import QuerySession
+
+        session = QuerySession(
+            graph, args.algorithm, seed=args.seed,
+            shards=args.shards, spill_dir=args.spill_dir, **kwargs
+        )
+    else:
+        algo = get_algorithm(args.algorithm, graph, **kwargs)
+    results = []
+    session_block: dict = {"reuse_pool": session is not None}
+    try:
+        with _SigintCancel() as interrupt:
+            for k in ks:
+                options = query_options(interrupt.token)
+                if session is not None:
+                    result = session.maximize(k, eps=args.eps, **options)
+                else:
+                    result = algo.run(k, eps=args.eps, seed=args.seed, **options)
+                results.append(result)
+                if interrupt.token.cancelled:
+                    break
+        if session is not None:
+            for key in ("sets_generated", "sets_reused"):
+                session_block[key] = session.metrics.value(f"bank.{key}")
+    finally:
+        if session is not None:
+            session.close()
+    if args.metrics_out:
+        _write_json(args.metrics_out, metrics.snapshot())
+
+    if args.ks is not None:
+        queries = []
+        for k, result in zip(ks, results):
+            entry = _run_payload(result, args, graph)
+            entry["k"] = k
+            if session is not None:
+                entry["session"] = result.extras.get("session")
+            queries.append(entry)
         print(json.dumps(
             {"queries": queries, "session": session_block},
             indent=2, default=int,
         ))
-        return EXIT_INTERRUPTED if cancelled else 0
+        return EXIT_INTERRUPTED if interrupt.token.cancelled else 0
 
-    algo = get_algorithm(args.algorithm, graph, **kwargs)
-    with _SigintCancel() as interrupt:
-        result = algo.run(
-            args.k,
-            eps=args.eps,
-            seed=args.seed,
-            budget=make_budget(),
-            cancel=interrupt.token,
-            checkpoint=args.checkpoint,
-            checkpoint_every=args.checkpoint_every,
-            resume=args.resume,
-            batch_size=args.batch_size,
-            metrics=metrics,
-            trace=want_trace,
-        )
-    if args.metrics_out:
-        _write_json(args.metrics_out, metrics.snapshot())
+    (result,) = results
     if args.trace_out:
         _write_json(args.trace_out, result.extras.get("trace", {}))
     if args.report:

@@ -9,15 +9,23 @@
 
 from __future__ import annotations
 
+import inspect
 from typing import Optional
 
+from repro.algorithms.base import IMAlgorithm
 from repro.core.registry import get_algorithm
 from repro.core.results import IMResult
 from repro.estimation.montecarlo import SpreadEstimate, estimate_spread
 from repro.graphs.csr import CSRGraph
-from repro.runtime.budget import Budget
-from repro.runtime.cancellation import CancellationToken
 from repro.utils.rng import SeedLike
+
+#: the execution options ``IMAlgorithm.run`` takes, read from its signature
+#: so the facade never restates them
+_RUN_OPTIONS = frozenset(
+    name
+    for name, param in inspect.signature(IMAlgorithm.run).parameters.items()
+    if param.kind is inspect.Parameter.KEYWORD_ONLY
+)
 
 
 class InfluenceMaximizer:
@@ -33,16 +41,7 @@ class InfluenceMaximizer:
         eps: float = 0.1,
         delta: Optional[float] = None,
         seed: SeedLike = None,
-        budget: Optional[Budget] = None,
-        cancel: Optional[CancellationToken] = None,
-        checkpoint=None,
-        checkpoint_every: int = 1,
-        resume: bool = False,
-        fault_injector=None,
-        batch_size: int = 1,
-        metrics=None,
-        trace: bool = False,
-        **algorithm_kwargs,
+        **kwargs,
     ) -> IMResult:
         """Select ``k`` seeds with the named algorithm.
 
@@ -52,32 +51,18 @@ class InfluenceMaximizer:
         ``1 - delta`` (``delta`` defaults to ``1/n``); heuristic algorithms
         ignore them.
 
-        ``budget``, ``cancel``, ``checkpoint``, ``checkpoint_every``,
-        ``resume``, ``fault_injector``, ``batch_size``, ``metrics`` (a
-        :class:`~repro.observability.registry.MetricsRegistry` to populate)
-        and ``trace`` (enable phase tracing) are forwarded verbatim to
-        :meth:`~repro.algorithms.base.IMAlgorithm.run` — see its docstring
-        for the partial-result, resume and observability semantics.
+        ``kwargs`` naming a keyword-only option of
+        :meth:`~repro.algorithms.base.IMAlgorithm.run` (``budget``,
+        ``checkpoint``, ``batch_size``, ``trace``, ...) are forwarded to it
+        unchanged — its docstring documents them; every other keyword goes
+        to the algorithm's constructor (``max_rr_sets``, ``fixed_b``, ...).
         Every call is a cold, independent run; repeated queries that
         should share RR sets go through
         :class:`~repro.engine.session.QuerySession`.
         """
-        algo = get_algorithm(algorithm, self.graph, **algorithm_kwargs)
-        return algo.run(
-            k,
-            eps=eps,
-            delta=delta,
-            seed=seed,
-            budget=budget,
-            cancel=cancel,
-            checkpoint=checkpoint,
-            checkpoint_every=checkpoint_every,
-            resume=resume,
-            fault_injector=fault_injector,
-            batch_size=batch_size,
-            metrics=metrics,
-            trace=trace,
-        )
+        options = {key: kwargs.pop(key) for key in _RUN_OPTIONS & kwargs.keys()}
+        algo = get_algorithm(algorithm, self.graph, **kwargs)
+        return algo.run(k, eps=eps, delta=delta, seed=seed, **options)
 
     def evaluate(
         self,

@@ -126,7 +126,6 @@ class BankProvider:
         *,
         stop_mask: Optional[np.ndarray] = None,
         reusable: bool = True,
-        batch_size: int = 1,
     ) -> RRBank:
         """The bank serving ``role`` for the current query.
 
@@ -183,14 +182,12 @@ class BankProvider:
                 if staged is not None:
                     bank.restore_state(*staged)
                 self._banks[role] = bank
-        else:
-            # Cached bank: rebind its generator to this query's control and
-            # batch size (the generator object itself persists so its
-            # cumulative counters keep matching the recorded marks).
-            gen = bank.generator
-            gen.batch_size = batch_size
-            if self._control is not None:
-                self._control.adopt_generator(gen)
+        elif self._control is not None:
+            # Cached bank: rebind its generator to this query's control,
+            # which carries the batch size (the generator object itself
+            # persists so its cumulative counters keep matching the
+            # recorded marks).
+            self._control.adopt_generator(bank.generator)
         sinks: List[MetricsRegistry] = []
         for m in (self._run_metrics, self.metrics):
             # Identity-dedupe: when the run registry IS the session
@@ -324,25 +321,28 @@ class QuerySession:
         k: int,
         eps: float = 0.1,
         delta: Optional[float] = None,
-        *,
-        budget: Optional[Any] = None,
-        cancel: Optional[Any] = None,
-        fault_injector: Optional[Any] = None,
-        batch_size: int = 1,
-        metrics: Optional[MetricsRegistry] = None,
-        trace: bool = False,
+        **options: Any,
     ) -> Any:
         """Serve one query against the session's banks.
 
-        Run-level checkpoint/resume is deliberately absent: a session's
-        durability story is :meth:`save` / :meth:`restore`, which persist
-        the banks themselves.  The result's ``extras["session"]`` block
-        reports this query's generated-vs-reused split.
+        ``options`` are forwarded unchanged to
+        :meth:`~repro.algorithms.base.IMAlgorithm.run`, whose docstring is
+        the one place they are documented and checked; the session sets
+        ``seed`` and ``banks`` itself.  Run-level ``checkpoint``/``resume``
+        are refused there: a session's durability story is :meth:`save` /
+        :meth:`restore`, which persist the banks themselves.  The result's
+        ``extras["session"]`` block reports this query's generated-vs-reused
+        split.
         """
         # Imported lazily: the registry pulls in the algorithm modules,
         # which import the engine — resolving at call time breaks the cycle.
         from repro.core.registry import get_algorithm
 
+        # Default the run registry to the session's so per-query
+        # observability (coverage counters, rr_pool_bytes) survives the
+        # query and shows up in serving /metrics.
+        if options.get("metrics") is None:
+            options["metrics"] = self.metrics
         algo = get_algorithm(self.algorithm, self.graph, **self.algorithm_kwargs)
         generated0 = self.metrics.value("bank.sets_generated")
         reused0 = self.metrics.value("bank.sets_reused")
@@ -351,16 +351,8 @@ class QuerySession:
             eps=eps,
             delta=delta,
             seed=self._query_rng(),
-            budget=budget,
-            cancel=cancel,
-            fault_injector=fault_injector,
-            batch_size=batch_size,
-            # Default the run registry to the session's so per-query
-            # observability (coverage counters, rr_pool_bytes)
-            # survives the query and shows up in serving /metrics.
-            metrics=metrics if metrics is not None else self.metrics,
-            trace=trace,
             banks=self.provider,
+            **options,
         )
         self.queries_served += 1
         result.extras["session"] = {

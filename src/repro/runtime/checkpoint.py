@@ -212,11 +212,14 @@ class CheckpointStore:
 
 def coerce_store(
     checkpoint: Union[None, PathLike, CheckpointStore],
-    every: int = 1,
 ) -> Optional[CheckpointStore]:
-    """Accept a path or a ready store (or None) at API boundaries."""
+    """Accept a path or a ready store (or None) at API boundaries.
+
+    A path saves at every round boundary; a thinner interval is a
+    property of the store, ``CheckpointStore(path, every=N)``.
+    """
     if checkpoint is None:
         return None
     if isinstance(checkpoint, CheckpointStore):
         return checkpoint
-    return CheckpointStore(checkpoint, every=every)
+    return CheckpointStore(checkpoint)

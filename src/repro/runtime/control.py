@@ -24,7 +24,8 @@ The spend tallies live in a :class:`~repro.observability.registry
 observability surface read the same numbers by construction.  The control
 also carries the run's :class:`~repro.observability.trace.PhaseTracer`
 (:data:`~repro.observability.trace.NULL_TRACER` when tracing is off) and
-adopts generators into the registry via :meth:`adopt_generator`.
+the run's RR-generation ``batch_size``; :meth:`adopt_generator` wires both
+into every generator the run uses.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ class RunControl:
         clock: Callable[[], float] = time.monotonic,
         metrics: Optional[MetricsRegistry] = None,
         tracer=None,
+        batch_size: int = 1,
     ) -> None:
         self.budget = budget if budget is not None else Budget()
         self.token = token
@@ -73,6 +75,9 @@ class RunControl:
         # run, kept in the registry so budgets and observability agree.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
+        #: RR-generation strategy of every generator this run adopts
+        #: (1 = the exact sequential loop, > 1 = the batched kernel)
+        self.batch_size = int(batch_size)
         self.stop_reason: Optional[str] = None
 
     # ------------------------------------------------------------------
@@ -89,8 +94,10 @@ class RunControl:
         return self.metrics.value(RR_NODES_COUNTER)
 
     def adopt_generator(self, gen) -> None:
-        """Wire a generator into this run: control hook + metrics source."""
+        """Wire a generator into this run: control hook, batch size and
+        metrics source (also rebinds a warm bank's generator per query)."""
         gen.control = self
+        gen.batch_size = self.batch_size
         gen.metrics = self.metrics
         self.metrics.attach_source(gen)
 

@@ -39,7 +39,7 @@ import queue
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.core.certify import Certificate, partial_certificate
 from repro.core.results import IMResult
@@ -524,7 +524,7 @@ class QueryServer:
             )
             return
 
-        def attempt() -> Optional[Tuple[Any, IMResult]]:
+        def attempt() -> Union[None, ConfigurationError, Tuple[Any, IMResult]]:
             if self.faults is not None:
                 try:
                     self.faults.on_worker()
@@ -540,17 +540,23 @@ class QueryServer:
                 with self.sessions.lease(
                     job.tenant, job.graph_name, graph
                 ) as session:
-                    result = session.maximize(
-                        job.k,
-                        eps=job.eps,
-                        budget=(
-                            Budget(wall_clock_seconds=remaining)
-                            if remaining is not None
-                            else None
-                        ),
-                        cancel=job.token,
-                        fault_injector=self.faults,
-                    )
+                    try:
+                        result = session.maximize(
+                            job.k,
+                            eps=job.eps,
+                            budget=(
+                                Budget(wall_clock_seconds=remaining)
+                                if remaining is not None
+                                else None
+                            ),
+                            cancel=job.token,
+                            fault_injector=self.faults,
+                        )
+                    except ConfigurationError as exc:
+                        # run() refused the query before touching a bank:
+                        # a bad request, not a crash, so the session stays
+                        # warm and nothing is retried.
+                        return exc
             except Exception:
                 # InjectedFault or a genuine bug escaped the run: the
                 # session's banks may be desynced, so drop the session and
@@ -581,6 +587,9 @@ class QueryServer:
             return
         if outcome is None:
             self._respond_deadline(job)
+            return
+        if isinstance(outcome, ConfigurationError):
+            job.respond(400, {"error": str(outcome)})
             return
         self._respond_result(job, graph, *outcome)
 

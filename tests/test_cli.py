@@ -126,6 +126,78 @@ class TestRun:
         assert "--batch-size" in capsys.readouterr().err
 
 
+class TestQueryLoop:
+    """``run``'s one query loop: a checkpointed single run, cold ``--ks``."""
+
+    def _run(self, capsys, *argv):
+        return main(["run", *argv]), capsys.readouterr()
+
+    def test_cli_resume_matches_uninterrupted_run(
+        self, wc_graph, tmp_path, capsys
+    ):
+        from repro.algorithms.opimc import OPIMC
+        from repro.runtime import FaultInjector
+        from repro.utils.exceptions import InjectedFault
+
+        graph_path = str(tmp_path / "g.npz")
+        save_npz(wc_graph, graph_path)
+        ckpt = tmp_path / "run.ckpt.npz"
+        with pytest.raises(InjectedFault):
+            OPIMC(wc_graph).run(
+                8, eps=0.25, seed=11, checkpoint=ckpt,
+                fault_injector=FaultInjector(at_rr_set=900),
+            )
+        assert ckpt.exists()
+        query = [graph_path, "--algorithm", "opim-c", "--k", "8",
+                 "--eps", "0.25", "--seed", "11"]
+        rc, baseline = self._run(capsys, *query)
+        assert rc == 0
+        metrics = tmp_path / "m.json"
+        rc, resumed = self._run(
+            capsys, *query, "--checkpoint", str(ckpt), "--resume",
+            "--metrics-out", str(metrics),
+        )
+        assert rc == 0
+        base, again = json.loads(baseline.out), json.loads(resumed.out)
+        assert again["status"] == "complete"
+        assert again["seeds"] == base["seeds"]
+        assert again["num_rr_sets"] == base["num_rr_sets"]
+        assert not ckpt.exists()
+        # The resumed run started from the saved round: it wrote fewer
+        # round checkpoints than the same query run from scratch would.
+        fresh_metrics = tmp_path / "fresh.json"
+        rc, _ = self._run(
+            capsys, *query, "--checkpoint", str(tmp_path / "fresh.npz"),
+            "--metrics-out", str(fresh_metrics),
+        )
+        assert rc == 0
+        saves = [
+            json.loads(path.read_text())["counters"].get(
+                "runtime.checkpoint_saves", 0
+            )
+            for path in (metrics, fresh_metrics)
+        ]
+        assert saves[0] < saves[1]
+
+    def test_cold_ks_match_separate_runs(self, weighted_npz, capsys):
+        common = ["--algorithm", "subsim", "--eps", "0.4", "--seed", "5"]
+        rc, out = self._run(capsys, weighted_npz, "--ks", "2,3", *common)
+        assert rc == 0
+        payload = json.loads(out.out)
+        assert payload["session"] == {"reuse_pool": False}
+        for entry in payload["queries"]:
+            rc, single = self._run(
+                capsys, weighted_npz, "--k", str(entry["k"]), *common
+            )
+            assert rc == 0
+            assert json.loads(single.out)["seeds"] == entry["seeds"]
+
+    def test_resume_without_checkpoint_rejected(self, weighted_npz, capsys):
+        rc, out = self._run(capsys, weighted_npz, "--k", "3", "--resume")
+        assert rc == 2
+        assert "--checkpoint" in out.err
+
+
 class TestLoadRetries:
     def _flaky_loader(self, monkeypatch, failures):
         from repro.graphs import io

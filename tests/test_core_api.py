@@ -74,10 +74,13 @@ class TestFacade:
         assert est.mean >= 3.0
 
     def test_algorithm_kwargs_forwarded(self, wc_graph):
+        # One call, both sides of the split: max_rr_sets goes to the IMM
+        # constructor, trace to run().
         result = InfluenceMaximizer(wc_graph).maximize(
-            3, algorithm="imm", eps=0.4, seed=0, max_rr_sets=1000
+            3, "imm", eps=0.4, seed=0, max_rr_sets=1000, trace=True
         )
         assert result.num_rr_sets <= 1000
+        assert "trace" in result.extras
 
     def test_batch_size_forwarded_to_run(self, wc_graph):
         # Regression: these are run() parameters, not constructor kwargs —

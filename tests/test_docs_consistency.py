@@ -71,6 +71,24 @@ class TestDesignAndExperiments:
                 bench_dir / f"{match}.py"
             ).exists(), match
 
+    def test_api_doc_run_signature_matches_code(self):
+        import inspect
+
+        from repro.algorithms.base import IMAlgorithm
+
+        text = read("docs/API.md")
+        match = re.search(r"`run\(([^)`]*)\) -> IMResult`", text)
+        assert match, "docs/API.md lost its run(...) signature"
+        documented = [
+            part.split("=")[0].strip() for part in match.group(1).split(",")
+        ]
+        expected = [
+            name
+            for name in inspect.signature(IMAlgorithm.run).parameters
+            if name != "self"
+        ]
+        assert [name for name in documented if name != "*"] == expected
+
     def test_api_doc_mentions_every_registry_name(self):
         text = read("docs/API.md")
         for name in available_algorithms():

@@ -250,6 +250,31 @@ class TestSessionRunCheckpointConflict:
                 banks=session.provider,
             )
 
+    def test_session_query_with_checkpoint_rejected(self, wc_graph, tmp_path):
+        # The session forwards its options to run(), which refuses a
+        # run-level checkpoint next to session banks.
+        session = QuerySession(wc_graph, "opim-c", seed=2)
+        with pytest.raises(ConfigurationError, match="QuerySession.save"):
+            session.maximize(3, checkpoint=str(tmp_path / "run.npz"))
+        assert session.queries_served == 0
+
+
+class TestSessionBatchSize:
+    def test_warm_bank_extension_uses_this_querys_batch_size(self, wc_graph):
+        # The second, larger query extends the warm bank the first query
+        # built; its generator must be rebound to the second query's
+        # batch size, so the extension runs the batched kernel.
+        def second_query(batch_sizes):
+            session = QuerySession(wc_graph, "subsim", seed=3)
+            session.maximize(2, eps=0.4, batch_size=batch_sizes[0])
+            return session.maximize(6, eps=0.2, batch_size=batch_sizes[1])
+
+        sequential = second_query((1, 1))
+        batched = second_query((1, 64))
+        assert batched.extras["session"]["sets_reused"] > 0
+        assert batched.extras["session"]["sets_generated"] > 0
+        assert batched.rng_draws != sequential.rng_draws
+
 
 class TestDynamicDeltas:
     """QuerySession.apply_delta: in-place bank repair across queries."""

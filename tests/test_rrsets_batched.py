@@ -162,7 +162,15 @@ class TestRunAPIValidation:
 
         algo = OPIMC(wc_graph, generator_cls=SubsimICGenerator)
         algo.run(3, eps=0.4, seed=0, batch_size=64)
-        assert algo._batch_size == 1
+        # The batch size rides on the run's RunControl only, so the next
+        # default run replays the sequential schedule bit-identically.
+        again = algo.run(3, eps=0.4, seed=0)
+        fresh = OPIMC(wc_graph, generator_cls=SubsimICGenerator).run(
+            3, eps=0.4, seed=0
+        )
+        assert algo._control is None
+        assert again.seeds == fresh.seeds
+        assert again.rng_draws == fresh.rng_draws
 
 
 class TestAlgorithmsUnderBatching:

@@ -166,8 +166,7 @@ class TestBitIdenticalResume:
                 K,
                 eps=EPS,
                 seed=SEED,
-                checkpoint=path,
-                checkpoint_every=2,
+                checkpoint=CheckpointStore(path, every=2),
                 fault_injector=FaultInjector(at_rr_set=900),
             )
         # With every=2 the surviving checkpoint is an *earlier* round, so
@@ -176,8 +175,7 @@ class TestBitIdenticalResume:
             K,
             eps=EPS,
             seed=SEED,
-            checkpoint=path,
-            checkpoint_every=2,
+            checkpoint=CheckpointStore(path, every=2),
             resume=True,
         )
         _same_execution(resumed, baseline)

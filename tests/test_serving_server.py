@@ -66,6 +66,28 @@ class TestEndpoints:
                 == 400
             )
 
+    def test_query_refused_by_run_keeps_warm_session(self, graph):
+        # k > n passes request parsing but run() refuses it: a bad query,
+        # not a worker crash, so no retry and no session invalidation.
+        with make_server(graph) as server:
+            client = ServeClient(*server.address)
+            client.query("pa", 5, tenant="alice")
+            crashes = server.metrics.value("serving.worker_crashes")
+            invalidated = server.metrics.value("serving.sessions_invalidated")
+            status, payload = client.query("pa", graph.n + 1, tenant="alice")
+            assert status == 400
+            assert payload == {
+                "error": f"k must lie in [1, n={graph.n}], got {graph.n + 1}"
+            }
+            assert server.metrics.value("serving.worker_crashes") == crashes
+            assert (
+                server.metrics.value("serving.sessions_invalidated")
+                == invalidated
+            )
+            status, payload = client.query("pa", 3, tenant="alice")
+            assert status == 200
+            assert payload["session"]["sets_reused"] > 0
+
     def test_algorithm_override_rejected(self, graph):
         with make_server(graph) as server:
             status, payload = ServeClient(*server.address)._request(
