@@ -22,6 +22,7 @@ code 130 instead of a traceback.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import signal
 import sys
@@ -191,10 +192,10 @@ def cmd_run(args) -> int:
         ks = [int(s) for s in args.ks.split(",") if s.strip()]
         if not ks or any(k < 1 for k in ks):
             raise ReproError(f"--ks needs positive integers, got {args.ks!r}")
-        if args.checkpoint or args.resume or args.report or args.trace_out:
+        if args.checkpoint or args.resume or args.report:
             raise ReproError(
-                "--ks is incompatible with --checkpoint/--resume/--report/"
-                "--trace-out; those artifacts describe a single run"
+                "--ks is incompatible with --checkpoint/--resume/--report; "
+                "those artifacts describe a single run"
             )
     # --ks already excludes --checkpoint/--resume, so a session (and the
     # shard runtime behind one) never meets a run-level checkpoint.
@@ -216,6 +217,11 @@ def cmd_run(args) -> int:
     )
     if args.weights:
         graph = weights.apply_scheme(graph, args.weights, seed=args.seed)
+    if args.ks is not None and max(ks) > graph.n:
+        # Refuse before the first query, so no finished answer is dropped.
+        raise ReproError(
+            f"--ks values must lie in [1, n={graph.n}], got {max(ks)}"
+        )
     kwargs = {}
     if args.max_rr_sets and args.algorithm in ("imm", "tim+", "imm-lt"):
         kwargs["max_rr_sets"] = args.max_rr_sets
@@ -243,7 +249,7 @@ def cmd_run(args) -> int:
             "resume": args.resume,
             "batch_size": args.batch_size,
             "metrics": metrics,
-            "trace": bool(args.trace_out or args.report),
+            "trace": bool(args.report),
         }
 
     session = None
@@ -293,8 +299,6 @@ def cmd_run(args) -> int:
         return EXIT_INTERRUPTED if interrupt.token.cancelled else 0
 
     (result,) = results
-    if args.trace_out:
-        _write_json(args.trace_out, result.extras.get("trace", {}))
     if args.report:
         from repro.observability import build_run_report
 
@@ -476,31 +480,24 @@ def _parse_tenant_byte_caps(specs) -> dict:
 def cmd_serve(args) -> int:
     from repro.serving import QueryServer, ServerConfig
 
+    # Only the flags the user typed (and --port) override ServerConfig.
+    fields = {f.name for f in dataclasses.fields(ServerConfig)}
     config = ServerConfig(
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        max_pending=args.max_pending,
-        algorithm=args.algorithm,
-        eps=args.eps,
-        seed=args.seed,
-        byte_cap=args.byte_cap,
+        **{
+            name: value
+            for name, value in vars(args).items()
+            if name in fields and value is not None
+        },
         tenant_byte_caps=_parse_tenant_byte_caps(args.tenant_byte_cap),
-        default_deadline=args.default_deadline,
         lifetime_budget=Budget(
             max_edges_examined=args.max_edges,
             max_rr_sets=args.max_rr_sets,
         ),
-        query_retries=args.query_retries,
-        snapshot_dir=args.snapshot_dir,
-        snapshot_every=args.snapshot_every,
-        shards=args.shards,
-        spill_dir=args.spill_dir,
     )
     server = QueryServer(config)
     for name, path in _parse_graph_specs(args.graph):
         server.registry.add_path(
-            name, path, weight_scheme=args.weights, seed=args.seed
+            name, path, weight_scheme=args.weights, seed=config.seed
         )
     server.start()
     host, port = server.address
@@ -674,9 +671,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics-out", default=None, metavar="PATH",
                    help="write the run's metrics-registry snapshot "
                         "(counters, gauges, histograms) as JSON")
-    p.add_argument("--trace-out", default=None, metavar="PATH",
-                   help="write the structured phase trace (span tree with "
-                        "wall time, counter deltas, pool memory) as JSON")
     p.add_argument("--report", default=None, metavar="PATH",
                    help="write a full RunReport artifact (graph "
                         "fingerprint, config, counters, certificate); "
@@ -748,41 +742,42 @@ def build_parser() -> argparse.ArgumentParser:
                    help="register a graph file under NAME (repeatable)")
     p.add_argument("--weights", default=None,
                    help="weight scheme applied to every loaded graph")
-    p.add_argument("--host", default="127.0.0.1")
+    # Flags naming a ServerConfig field have no default here: cmd_serve
+    # leaves an untyped one to ServerConfig.  --port keeps 8337, the
+    # daemon's well-known port (the library binds an ephemeral one).
+    p.add_argument("--host")
     p.add_argument("--port", type=int, default=8337,
                    help="bind port (0 = ephemeral)")
-    p.add_argument("--workers", type=int, default=2,
+    p.add_argument("--workers", type=int,
                    help="HTTP query worker threads")
-    p.add_argument("--max-pending", type=int, default=8,
+    p.add_argument("--max-pending", type=int,
                    help="dispatch-queue bound; excess requests shed with 429")
-    p.add_argument("--algorithm", default="subsim",
-                   choices=available_algorithms())
-    p.add_argument("--eps", type=float, default=0.3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--byte-cap", type=int, default=None,
+    p.add_argument("--algorithm", choices=available_algorithms())
+    p.add_argument("--eps", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--byte-cap", type=int,
                    help="per-session RR-bank byte cap (eviction between "
                         "queries)")
     p.add_argument("--tenant-byte-cap", action="append", default=None,
                    metavar="NAME=BYTES",
                    help="per-tenant override of --byte-cap (repeatable); "
                         "tenants not listed fall back to the global cap")
-    p.add_argument("--default-deadline", type=float, default=None,
-                   metavar="SECONDS")
+    p.add_argument("--default-deadline", type=float, metavar="SECONDS")
     p.add_argument("--max-edges", type=int, default=None,
                    help="lifetime edge-examination budget; exhaustion sheds "
                         "new requests")
     p.add_argument("--max-rr-sets", type=int, default=None,
                    help="lifetime RR-set budget; exhaustion sheds new "
                         "requests")
-    p.add_argument("--query-retries", type=int, default=1)
-    p.add_argument("--snapshot-dir", default=None,
+    p.add_argument("--query-retries", type=int)
+    p.add_argument("--snapshot-dir",
                    help="session snapshot directory (enables crash recovery)")
-    p.add_argument("--snapshot-every", type=int, default=1)
-    p.add_argument("--shards", type=int, default=None, metavar="S",
+    p.add_argument("--snapshot-every", type=int)
+    p.add_argument("--shards", type=int, metavar="S",
                    help="back every tenant session with a persistent pool "
                         "of S shard workers (incompatible with "
                         "--snapshot-dir)")
-    p.add_argument("--spill-dir", default=None, metavar="DIR",
+    p.add_argument("--spill-dir", metavar="DIR",
                    help="root directory for shard spill/checkpoint files; "
                         "requires --shards")
     p.set_defaults(func=cmd_serve)

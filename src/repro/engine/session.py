@@ -53,6 +53,15 @@ def _session_entropy(seed: Any) -> int:
     )
 
 
+def refuse_unshardable(algo: Any) -> None:
+    """Raise if the sharded worker runtime cannot serve ``algo``."""
+    if not algo.supports_shards:
+        raise ConfigurationError(
+            f"{algo.name} does not support the sharded worker "
+            "runtime; build the session with shards=None"
+        )
+
+
 class BankProvider:
     """Hands out :class:`RRBank` instances to algorithm code.
 
@@ -274,12 +283,9 @@ class QuerySession:
 
             # Refuse an algorithm the shard runtime cannot serve before a
             # single worker process starts.
-            algo = get_algorithm(algorithm, graph, **self.algorithm_kwargs)
-            if not algo.supports_shards:
-                raise ConfigurationError(
-                    f"{algo.name} does not support the sharded worker "
-                    "runtime; build the session with shards=None"
-                )
+            refuse_unshardable(
+                get_algorithm(algorithm, graph, **self.algorithm_kwargs)
+            )
             # The session owns the worker runtime: one graph share, one set
             # of resident workers, reused by every query it serves.
             self._shard_pool = ShardPool(

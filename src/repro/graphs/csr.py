@@ -28,9 +28,7 @@ class CSRGraph:
     preprocessing keyed on :meth:`fingerprint` — but the graph itself can
     evolve through :meth:`apply_delta`, which rewrites only the adjacency
     blocks a :class:`~repro.graphs.dynamic.GraphDelta` touches and advances
-    :attr:`delta_epoch`.  :meth:`compact` periodically re-derives the whole
-    layout through :func:`build_graph` (automatic every
-    :attr:`COMPACT_EVERY` deltas).
+    :attr:`delta_epoch`.
 
     Attributes
     ----------
@@ -53,12 +51,8 @@ class CSRGraph:
         Free-form tag recording how probabilities were assigned (e.g. "wc",
         "uniform:0.01"); informational only.
     delta_epoch:
-        Number of :meth:`apply_delta` batches applied since construction;
-        monotone even across :meth:`compact`.
+        Number of :meth:`apply_delta` batches applied since construction.
     """
-
-    #: automatic :meth:`compact` after this many uncompacted deltas
-    COMPACT_EVERY = 64
 
     __slots__ = (
         "n",
@@ -73,7 +67,6 @@ class CSRGraph:
         "uniform_in",
         "weight_model",
         "delta_epoch",
-        "_uncompacted",
         "_fingerprint",
         "_cache",
     )
@@ -100,7 +93,6 @@ class CSRGraph:
         self.weight_model = weight_model
         self._derive_in_stats()
         self.delta_epoch = 0
-        self._uncompacted = 0
         self._fingerprint: Optional[str] = None
         self._cache: Dict[str, Tuple[str, Any]] = {}
 
@@ -223,7 +215,7 @@ class CSRGraph:
     # ------------------------------------------------------------------
     # incremental mutation
     # ------------------------------------------------------------------
-    def apply_delta(self, delta: Any, auto_compact: bool = True) -> np.ndarray:
+    def apply_delta(self, delta: Any) -> np.ndarray:
         """Apply a :class:`~repro.graphs.dynamic.GraphDelta` in place.
 
         Only the adjacency blocks of touched endpoints are rewritten (and
@@ -234,9 +226,6 @@ class CSRGraph:
         invalidates every :meth:`cached` sampler table.  Returns the
         delta's touched destination nodes (the dirty-node set RR repair
         keys on).
-
-        With ``auto_compact`` (default), every :attr:`COMPACT_EVERY`-th
-        delta triggers :meth:`compact`.
         """
         from repro.graphs.dynamic import delta_edits, patch_blocks
 
@@ -257,33 +246,7 @@ class CSRGraph:
         self._derive_in_stats()
         self._fingerprint = None
         self.delta_epoch += 1
-        self._uncompacted += 1
-        if auto_compact and self._uncompacted >= self.COMPACT_EVERY:
-            self.compact()
         return touched
-
-    def compact(self) -> None:
-        """Re-derive the CSR layout from scratch through :func:`build_graph`.
-
-        Because :meth:`apply_delta` keeps every block canonically ordered,
-        compaction does not change content — it re-validates the edge-set
-        invariants, drops any buffer slack the surgery left behind, and
-        resets the auto-compaction counter.  :attr:`delta_epoch` is
-        preserved.
-        """
-        src, dst, prob = self.edges()
-        rebuilt = build_graph(
-            self.n, src, dst, prob, weight_model=self.weight_model
-        )
-        for slot in (
-            "out_indptr", "out_indices", "out_probs",
-            "in_indptr", "in_indices", "in_probs",
-            "in_prob_sums", "uniform_in",
-        ):
-            setattr(self, slot, getattr(rebuilt, slot))
-        self.m = rebuilt.m
-        self._fingerprint = None
-        self._uncompacted = 0
 
     # ------------------------------------------------------------------
     # transforms

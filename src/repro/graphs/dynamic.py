@@ -5,9 +5,9 @@ and *weight updates*.  :meth:`repro.graphs.csr.CSRGraph.apply_delta`
 applies it in place by **block surgery**: only the adjacency blocks of
 endpoints the delta touches are rewritten (re-sorted to the canonical
 per-block order ``build_graph`` produces), every other block is carried
-over as an untouched slice.  The patched arrays are therefore equivalent
-to a from-scratch build — :meth:`CSRGraph.compact` re-derives them through
-``build_graph`` and the property tests assert bit-identity.
+over as an untouched slice.  The patched arrays are therefore
+bit-identical to a from-scratch ``build_graph`` over the updated edges,
+which the property tests assert.
 
 The delta's :meth:`touched_nodes` are the **destinations** of every
 changed edge.  That is the set RR-set repair keys on: reverse-reachable

@@ -155,7 +155,6 @@ def attach_graph(handle: SharedGraphHandle) -> CSRGraph:
         view.flags.writeable = False
         setattr(graph, spec.attr, view)
     graph.delta_epoch = 0
-    graph._uncompacted = 0
     graph._fingerprint = handle.fingerprint
     # The cache dict is excluded from pickling, making it the right home
     # for the process-local SharedMemory reference that keeps the mapping

@@ -1,9 +1,9 @@
 """Server configuration: one declarative dataclass.
 
-Every knob the daemon honors lives here so tests, the CLI and the load-test
-harness construct servers the same way.  The defaults are conservative:
-small worker pool, bounded queue, snapshots after every query when a
-snapshot directory is configured.
+The daemon's own settings live here, each default written once, so tests,
+the CLI and the load-test harness construct servers the same way.  The
+defaults are conservative: small worker pool, bounded queue, snapshots
+after every query when a snapshot directory is configured.
 """
 
 from __future__ import annotations
@@ -50,10 +50,6 @@ class ServerConfig:
     default_deadline:
         Deadline (seconds) applied to queries that do not send one;
         ``None`` means no implicit deadline.
-    deadline_grace:
-        Extra seconds the handler waits after cancelling a deadline-blown
-        query before answering with a degraded response on the worker's
-        behalf (covers a worker stuck in non-cooperative code).
     lifetime_budget:
         Server-lifetime spend caps (``max_edges_examined`` /
         ``max_rr_sets`` / ``max_rr_nodes`` axes).  Once cumulative query
@@ -62,14 +58,10 @@ class ServerConfig:
     query_retries:
         How many times a query whose worker crashed (an unexpected,
         non-cooperative failure) is retried on a recovered session before
-        a degraded response is returned.
-    retry_backoff, retry_jitter, retry_max_total_wait:
-        Backoff policy shared by query retries and graph loads.
-    breaker_threshold, breaker_cooldown:
-        Circuit breaker for repeatedly failing resources (graph loads):
-        after ``breaker_threshold`` consecutive failures the breaker opens
-        and requests fail fast with a retry-after of ``breaker_cooldown``
-        seconds.
+        a degraded response is returned.  The backoff between retries is
+        :class:`~repro.serving.retry.RetryPolicy`'s own, seeded by
+        ``seed``; graph loads retry and trip their circuit breaker by
+        :class:`~repro.serving.registry.GraphRegistry`'s defaults.
     snapshot_dir:
         Directory for per-tenant session snapshots; ``None`` disables
         crash recovery.
@@ -97,14 +89,8 @@ class ServerConfig:
     byte_cap: Optional[int] = None
     tenant_byte_caps: Dict[str, int] = field(default_factory=dict)
     default_deadline: Optional[float] = None
-    deadline_grace: float = 2.0
     lifetime_budget: Budget = field(default_factory=Budget)
     query_retries: int = 1
-    retry_backoff: float = 0.05
-    retry_jitter: float = 0.5
-    retry_max_total_wait: float = 10.0
-    breaker_threshold: int = 3
-    breaker_cooldown: float = 30.0
     snapshot_dir: Optional[str] = None
     snapshot_every: int = 1
     shards: Optional[int] = None

@@ -42,7 +42,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.core.certify import Certificate, partial_certificate
+from repro.core.registry import get_algorithm
 from repro.core.results import IMResult
+from repro.engine.session import refuse_unshardable
+from repro.graphs.csr import build_graph
 from repro.observability.registry import MetricsRegistry
 from repro.observability.report import build_run_report
 from repro.runtime.budget import Budget
@@ -60,6 +63,10 @@ from repro.utils.exceptions import (
 )
 
 _SENTINEL = object()
+
+#: seconds the handler waits past a deadline, then again after cancelling
+#: the query, before it answers degraded on a stuck worker's behalf
+DEADLINE_GRACE = 2.0
 
 
 def _certificate_block(certificate: Certificate) -> Dict[str, Any]:
@@ -140,20 +147,23 @@ class QueryServer:
         faults: Optional[ServerFaultInjector] = None,
     ) -> None:
         self.config = config if config is not None else ServerConfig()
+        # Refuse a setting that would fail every query before one is served.
+        # QuerySession's name lookup and shard check depend on the name
+        # alone, so a one-node graph stands in for the graphs served later.
+        algo = get_algorithm(self.config.algorithm, build_graph(1, [], [], []))
+        if self.config.shards is not None:
+            refuse_unshardable(algo)
         self.metrics = MetricsRegistry()
         self.faults = faults
         self.registry = (
             registry
             if registry is not None
-            else GraphRegistry(
-                retry=self._retry_policy(),
-                breaker_threshold=self.config.breaker_threshold,
-                breaker_cooldown=self.config.breaker_cooldown,
-            )
+            else GraphRegistry(retry=RetryPolicy(seed=self.config.seed))
         )
         #: per-query retries after a worker crash; the sleep is injectable
-        self.query_retry = self._retry_policy(
+        self.query_retry = RetryPolicy(
             attempts=self.config.query_retries + 1,
+            seed=self.config.seed,
             on_retry=lambda attempt, exc: self.metrics.inc("serving.retries"),
         )
         self.sessions = SessionManager(
@@ -171,16 +181,6 @@ class QueryServer:
         self._reports: Dict[str, Dict[str, Any]] = {}
         self._reports_lock = threading.Lock()
         self._started = False
-
-    def _retry_policy(self, **overrides: Any) -> RetryPolicy:
-        """A :class:`RetryPolicy` with the configured backoff and seed."""
-        return RetryPolicy(
-            backoff=self.config.retry_backoff,
-            jitter=self.config.retry_jitter,
-            max_total_wait=self.config.retry_max_total_wait,
-            seed=self.config.seed,
-            **overrides,
-        )
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -424,26 +424,13 @@ class QueryServer:
         remaining = job.remaining()
         if remaining is None:
             job.wait(None)
-        elif not job.wait(max(remaining, 0.0) + self.config.deadline_grace):
+        elif not job.wait(max(remaining, 0.0) + DEADLINE_GRACE):
             # The worker is stuck past deadline + grace (non-cooperative
             # code). Cancel it and answer on its behalf; respond() makes a
             # late worker result a no-op.
             job.token.cancel("deadline")
-            if not job.wait(self.config.deadline_grace):
-                self.metrics.inc("serving.deadline_exceeded")
-                self.metrics.inc("serving.degraded")
-                job.respond(
-                    200,
-                    {
-                        "status": "degraded",
-                        "stop_reason": "deadline_exceeded",
-                        "tenant": job.tenant,
-                        "graph": job.graph_name,
-                        "k": job.k,
-                        "seeds": [],
-                        "certificate": _degraded_certificate(),
-                    },
-                )
+            if not job.wait(DEADLINE_GRACE):
+                self._respond_deadline(job)
         return job.status_code, job.response
 
     def _parse(
@@ -569,20 +556,11 @@ class QueryServer:
         try:
             outcome = self.query_retry.call(attempt)
         except Exception as exc:  # noqa: BLE001 - crash containment
-            self.metrics.inc("serving.degraded")
-            job.respond(
-                200,
-                {
-                    "status": "degraded",
-                    "stop_reason": "worker_crash",
-                    "detail": str(exc),
-                    "tenant": job.tenant,
-                    "graph": job.graph_name,
-                    "k": job.k,
-                    "seeds": [],
-                    "certificate": _degraded_certificate(),
-                    "retries": exc.attempts - 1,  # type: ignore[attr-defined]
-                },
+            self._respond_degraded(
+                job,
+                "worker_crash",
+                detail=str(exc),
+                retries=exc.attempts - 1,  # type: ignore[attr-defined]
             )
             return
         if outcome is None:
@@ -595,12 +573,17 @@ class QueryServer:
 
     def _respond_deadline(self, job: QueryJob) -> None:
         self.metrics.inc("serving.deadline_exceeded")
+        self._respond_degraded(job, "deadline_exceeded")
+
+    def _respond_degraded(self, job: QueryJob, stop_reason: str, **extra: Any) -> None:
+        """Answer 200 ``degraded``: no seeds and a vacuous certificate."""
         self.metrics.inc("serving.degraded")
         job.respond(
             200,
             {
                 "status": "degraded",
-                "stop_reason": "deadline_exceeded",
+                "stop_reason": stop_reason,
+                **extra,
                 "tenant": job.tenant,
                 "graph": job.graph_name,
                 "k": job.k,

@@ -197,6 +197,26 @@ class TestQueryLoop:
         assert rc == 2
         assert "--checkpoint" in out.err
 
+    def test_ks_checked_against_n_before_the_first_query(
+        self, weighted_npz, monkeypatch, capsys
+    ):
+        from repro.algorithms.base import IMAlgorithm
+
+        calls = []
+        original = IMAlgorithm.run
+
+        def counting_run(self, *args, **kwargs):
+            calls.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(IMAlgorithm, "run", counting_run)
+        rc, out = self._run(
+            capsys, weighted_npz, "--algorithm", "subsim", "--ks", "3,400"
+        )
+        assert rc == 2
+        assert "--ks" in out.err and "400" in out.err
+        assert calls == []
+
 
 class TestLoadRetries:
     def _flaky_loader(self, monkeypatch, failures):
@@ -524,6 +544,77 @@ class TestServeCli:
         assert "serving" not in captured.out
         assert captured.err.startswith("error:")
         assert "unknown weight scheme" in captured.err
+
+
+    def test_config_flags_default_to_server_config(self):
+        import dataclasses
+
+        from repro.serving import ServerConfig
+
+        args = vars(build_parser().parse_args(["serve", "--graph", "g=x"]))
+        fields = {f.name for f in dataclasses.fields(ServerConfig)}
+        named = {dest: args[dest] for dest in fields & set(args)}
+        assert named.pop("port") == 8337
+        assert named and set(named.values()) == {None}
+
+    def test_only_typed_flags_reach_the_config(
+        self, weighted_npz, monkeypatch, capsys
+    ):
+        import signal
+
+        import repro.serving
+        from repro.serving import QueryServer, ServerConfig
+
+        built = []
+
+        class RecordingServer(QueryServer):
+            def __init__(self, config, *args, **kwargs):
+                super().__init__(config, *args, **kwargs)
+                built.append(config)
+
+        def pause():
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(repro.serving, "QueryServer", RecordingServer)
+        monkeypatch.setattr(signal, "pause", pause)
+        rc = main([
+            "serve", "--graph", f"demo={weighted_npz}", "--port", "0",
+            "--workers", "3",
+        ])
+        assert rc == 0
+        assert "3 workers" in capsys.readouterr().out
+        (config,) = built
+        defaults = ServerConfig()
+        assert config.workers == 3
+        assert config.port == 0
+        for name in ("host", "max_pending", "algorithm", "eps", "seed",
+                     "query_retries", "snapshot_every"):
+            assert getattr(config, name) == getattr(defaults, name), name
+
+    def test_unshardable_algorithm_exits_before_binding(
+        self, weighted_npz, monkeypatch, capsys
+    ):
+        import signal
+
+        from repro.serving import QueryServer
+
+        def pause():
+            raise KeyboardInterrupt
+
+        def start(self):
+            raise AssertionError("the daemon bound a port")
+
+        # A daemon that did start would return 0 from this pause.
+        monkeypatch.setattr(signal, "pause", pause)
+        monkeypatch.setattr(QueryServer, "start", start)
+        rc = main([
+            "serve", "--graph", f"demo={weighted_npz}", "--port", "0",
+            "--shards", "2", "--algorithm", "ssa",
+        ])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "serving" not in captured.out
+        assert "does not support the sharded" in captured.err
 
 
 class TestShardsFlag:

@@ -4,8 +4,7 @@ The load-bearing invariant: :meth:`CSRGraph.apply_delta` performs block
 surgery that leaves the CSR arrays **bit-identical** to a from-scratch
 ``build_graph`` on the mutated edge set — that is what lets RR-set repair
 argue that clean sets replay unchanged.  The hypothesis properties at the
-bottom drive random graphs through random deltas and assert exactly that,
-with and without :meth:`CSRGraph.compact`.
+bottom drive random graphs through random deltas and assert exactly that.
 """
 
 import numpy as np
@@ -13,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs.csr import CSRGraph, build_graph
+from repro.graphs.csr import build_graph
 from repro.graphs.dynamic import GraphDelta
 from repro.graphs.generators import preferential_attachment
 from repro.graphs.weights import wc_weights
@@ -37,7 +36,7 @@ def assert_graphs_bit_identical(actual, expected):
     for slot in (
         "out_indptr", "out_indices", "out_probs",
         "in_indptr", "in_indices", "in_probs",
-        "in_prob_sums",
+        "in_prob_sums", "uniform_in",
     ):
         np.testing.assert_array_equal(
             getattr(actual, slot), getattr(expected, slot), err_msg=slot
@@ -157,32 +156,6 @@ class TestApplyDelta:
         assert graph.delta_epoch == 0
         assert graph.fingerprint() == before
 
-    def test_compact_preserves_content_and_epoch(self):
-        graph = small_graph()
-        (u, v), p = next(iter(sorted(edge_dict(graph).items())))
-        graph.apply_delta(GraphDelta(updates=[(u, v, p / 2)]))
-        fingerprint = graph.fingerprint()
-        graph.compact()
-        assert graph.delta_epoch == 1
-        assert graph.fingerprint() == fingerprint
-
-    def test_auto_compaction_fires_every_nth_delta(self, monkeypatch):
-        monkeypatch.setattr(CSRGraph, "COMPACT_EVERY", 2)
-        graph = small_graph()
-        rows = iter(sorted(edge_dict(graph).items()))
-        compactions = []
-        original = CSRGraph.compact
-        monkeypatch.setattr(
-            CSRGraph,
-            "compact",
-            lambda self: (compactions.append(self.delta_epoch),
-                          original(self)),
-        )
-        for _ in range(4):
-            (u, v), p = next(rows)
-            graph.apply_delta(GraphDelta(updates=[(u, v, p / 2)]))
-        assert compactions == [2, 4]
-
 
 # ----------------------------------------------------------------------
 # hypothesis: surgery == scratch build, for arbitrary graphs and deltas
@@ -270,16 +243,7 @@ def scratch_build(n, edges):
 @given(data=st.data())
 def test_apply_delta_is_bit_identical_to_scratch_build(data):
     graph, delta, edges = random_graph_and_delta(data)
-    graph.apply_delta(delta, auto_compact=False)
-    assert_graphs_bit_identical(graph, scratch_build(graph.n, edges))
-
-
-@settings(max_examples=80, deadline=None)
-@given(data=st.data())
-def test_apply_delta_then_compact_is_bit_identical(data):
-    graph, delta, edges = random_graph_and_delta(data)
-    graph.apply_delta(delta, auto_compact=False)
-    graph.compact()
+    graph.apply_delta(delta)
     assert_graphs_bit_identical(graph, scratch_build(graph.n, edges))
 
 
@@ -288,14 +252,12 @@ def test_apply_delta_then_compact_is_bit_identical(data):
 def test_stacked_deltas_match_single_scratch_build(data, extra):
     """Several deltas in sequence still land exactly on the scratch build."""
     graph, delta, edges = random_graph_and_delta(data)
-    graph.apply_delta(delta, auto_compact=False)
+    graph.apply_delta(delta)
     rng = np.random.default_rng(extra)
     live = sorted(edges)
     if live:
         u, v = live[int(rng.integers(len(live)))]
         p = float(rng.uniform(0.01, 1.0))
-        graph.apply_delta(
-            GraphDelta(updates=[(u, v, p)]), auto_compact=False
-        )
+        graph.apply_delta(GraphDelta(updates=[(u, v, p)]))
         edges[(u, v)] = p
     assert_graphs_bit_identical(graph, scratch_build(graph.n, edges))

@@ -104,15 +104,11 @@ class TestWorkerCrash:
             )
         assert status == 200
         assert payload["seeds"] == clean_answer
-        # One retry, one backoff: the configured base scaled by the
-        # configured jitter, not a bare exponential.
-        config = server.config
+        # One retry, one backoff: the policy's base scaled by its jitter,
+        # not a bare exponential.
+        policy = server.query_retry
         assert len(sleeps) == 1
-        assert (
-            config.retry_backoff
-            <= sleeps[0]
-            <= config.retry_backoff * (1 + config.retry_jitter)
-        )
+        assert policy.backoff <= sleeps[0] <= policy.backoff * (1 + policy.jitter)
 
     def test_crash_mid_query_recovers_bit_identically(self, graph, clean_answer):
         # The inherited rr_set axis fires *inside* session.maximize: the
