@@ -6,8 +6,7 @@ Two measurements, written to ``benchmarks/results/BENCH_sharded.json``:
   ``batch_size=256``) on an n=10^6 WC Erdős–Rényi graph, run twice on the
   same graph with the same ``k``, ``eps`` and seed: once through an
   unsharded :class:`~repro.engine.session.QuerySession`, once through a
-  sharded one (``QuerySession(shards=, spill_dir=)``) that spills its pools
-  to disk afterwards.  Each arm records wall time and the peak memory of
+  sharded one (``QuerySession(shards=)``).  Each arm records wall time and the peak memory of
   the parent plus every shard worker.  Memory is the summed proportional
   set size (Pss): plain RSS would count the shared-memory graph once per
   worker.  It is sampled every 0.25 s while the query runs.
@@ -29,7 +28,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import tempfile
 import threading
 import time
 from pathlib import Path
@@ -106,44 +104,34 @@ def _cpus() -> int:
 
 
 def _run_arm(graph, *, k: int, eps: float, seed: int, batch_size: int,
-             shards=None, spill_dir=None) -> dict:
+             shards=None) -> dict:
     """One cold ``opim-c`` query through a fresh (un)sharded session."""
-    with QuerySession(graph, "opim-c", seed=seed, shards=shards,
-                      spill_dir=spill_dir) as session:
+    with QuerySession(graph, "opim-c", seed=seed, shards=shards) as session:
         start_mib = _session_mib(session)
         with _PeakSampler(session) as sampler:
             start = time.perf_counter()
             result = session.maximize(k, eps=eps, batch_size=batch_size)
             run_s = time.perf_counter() - start
-        arm = {
-            "run_seconds": round(run_s, 2),
-            "status": result.status,
-            "num_rr_sets": result.num_rr_sets,
-            "average_rr_size": round(result.average_rr_size, 2),
-            "start_pss_mib": round(start_mib, 1),
-            "peak_pss_mib": round(sampler.peak, 1),
-        }
-        pool = session.shard_pool
-        if pool is not None:
-            spilled = pool.spill()
-            arm["pss_after_spill_mib"] = round(_session_mib(session), 1)
-            arm["resident_pool_bytes_after_spill"] = int(sum(
-                r["nbytes"] for s in pool.stats() for r in s.values()
-            ))
-            arm["spill_files"] = sum(len(s) for s in spilled if s)
-    return arm
+    return {
+        "run_seconds": round(run_s, 2),
+        "status": result.status,
+        "num_rr_sets": result.num_rr_sets,
+        "average_rr_size": round(result.average_rr_size, 2),
+        "start_pss_mib": round(start_mib, 1),
+        "peak_pss_mib": round(sampler.peak, 1),
+    }
 
 
 def bench_large_run(*, n: int, degree: float, k: int, eps: float,
-                    shards: int, spill_dir: str) -> dict:
-    """The same query at scale, unsharded and then sharded with spill."""
+                    shards: int) -> dict:
+    """The same query at scale, unsharded and then sharded."""
     build_start = time.perf_counter()
     graph = wc_weights(erdos_renyi(n, degree, seed=1))
     build_s = time.perf_counter() - build_start
 
     query = dict(k=k, eps=eps, seed=7, batch_size=256)
     unsharded = _run_arm(graph, **query)
-    sharded = _run_arm(graph, shards=shards, spill_dir=spill_dir, **query)
+    sharded = _run_arm(graph, shards=shards, **query)
     return {
         "n": n,
         "avg_degree": degree,
@@ -205,13 +193,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
                         help="CI smoke: tiny sizes, separate results file")
-    parser.add_argument(
-        "--spill-dir", default=None,
-        help="spill directory for the large run (default: a fresh tempdir)",
-    )
     args = parser.parse_args()
-    if args.spill_dir is None:
-        args.spill_dir = tempfile.mkdtemp(prefix="bench_sharded_spill_")
 
     if args.quick:
         large_args = dict(n=20_000, degree=4.0, k=10, eps=0.5, shards=2)
@@ -221,8 +203,7 @@ def main() -> int:
         realloc_appends = 200_000
 
     print("large-run ...", flush=True)
-    os.makedirs(args.spill_dir, exist_ok=True)
-    large = bench_large_run(spill_dir=args.spill_dir, **large_args)
+    large = bench_large_run(**large_args)
     print(json.dumps(large, indent=2), flush=True)
 
     print("realloc ...", flush=True)

@@ -197,15 +197,10 @@ def cmd_run(args) -> int:
                 "--ks is incompatible with --checkpoint/--resume/--report; "
                 "those artifacts describe a single run"
             )
-    # --ks already excludes --checkpoint/--resume, so a session (and the
-    # shard runtime behind one) never meets a run-level checkpoint.
+    # --ks already excludes --checkpoint/--resume, so a session never
+    # meets a run-level checkpoint.
     if args.reuse_pool and args.ks is None:
         raise ReproError("--reuse-pool requires --ks (a multi-query run)")
-    if (args.shards is not None or args.spill_dir) and not args.reuse_pool:
-        raise ReproError(
-            "--shards/--spill-dir require --reuse-pool: the shard workers "
-            "back a multi-query session (--ks ... --reuse-pool --shards S)"
-        )
     if args.resume and not args.checkpoint:
         raise ReproError("--resume requires --checkpoint")
     if args.batch_size < 1:
@@ -256,10 +251,7 @@ def cmd_run(args) -> int:
     if args.reuse_pool:
         from repro.engine.session import QuerySession
 
-        session = QuerySession(
-            graph, args.algorithm, seed=args.seed,
-            shards=args.shards, spill_dir=args.spill_dir, **kwargs
-        )
+        session = QuerySession(graph, args.algorithm, seed=args.seed, **kwargs)
     else:
         algo = get_algorithm(args.algorithm, graph, **kwargs)
     results = []
@@ -661,13 +653,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=1, metavar="B",
                    help="grow B RR sets per vectorized batch (1 = exact "
                         "sequential semantics, the default)")
-    p.add_argument("--shards", type=int, default=None, metavar="S",
-                   help="back the --reuse-pool session with a persistent "
-                        "pool of S shard workers (shared-memory graph, "
-                        "shard-resident RR banks, scatter-gather selection)")
-    p.add_argument("--spill-dir", default=None, metavar="DIR",
-                   help="spill cold shard-resident RR pools (and shard "
-                        "checkpoints) to this directory; requires --shards")
     p.add_argument("--metrics-out", default=None, metavar="PATH",
                    help="write the run's metrics-registry snapshot "
                         "(counters, gauges, histograms) as JSON")
@@ -773,13 +758,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snapshot-dir",
                    help="session snapshot directory (enables crash recovery)")
     p.add_argument("--snapshot-every", type=int)
-    p.add_argument("--shards", type=int, metavar="S",
-                   help="back every tenant session with a persistent pool "
-                        "of S shard workers (incompatible with "
-                        "--snapshot-dir)")
-    p.add_argument("--spill-dir", metavar="DIR",
-                   help="root directory for shard spill/checkpoint files; "
-                        "requires --shards")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("query", help="send one query to a running daemon")

@@ -53,15 +53,6 @@ def _session_entropy(seed: Any) -> int:
     )
 
 
-def refuse_unshardable(algo: Any) -> None:
-    """Raise if the sharded worker runtime cannot serve ``algo``."""
-    if not algo.supports_shards:
-        raise ConfigurationError(
-            f"{algo.name} does not support the sharded worker "
-            "runtime; build the session with shards=None"
-        )
-
-
 class BankProvider:
     """Hands out :class:`RRBank` instances to algorithm code.
 
@@ -254,10 +245,10 @@ class QuerySession:
     what a cold session with the same seed would return for that query
     alone (sequential generation; see ``docs/ARCHITECTURE.md``).
 
-    ``shards`` (with an optional ``spill_dir``) backs every bank with a
-    persistent :class:`~repro.rrsets.shardpool.ShardPool` — the one entry
-    point to the sharded worker runtime.  Algorithms whose
-    ``supports_shards`` is False are refused before any worker starts.
+    ``shards`` backs every bank with a persistent
+    :class:`~repro.rrsets.shardpool.ShardPool` — the one entry point to the
+    sharded worker runtime.  Algorithms whose ``supports_shards`` is False
+    are refused before any worker starts.
     """
 
     def __init__(
@@ -268,7 +259,6 @@ class QuerySession:
         seed: Any = None,
         byte_cap: Optional[int] = None,
         shards: Optional[int] = None,
-        spill_dir: Optional[str] = None,
         **algorithm_kwargs: Any,
     ) -> None:
         self.graph = graph
@@ -283,16 +273,15 @@ class QuerySession:
 
             # Refuse an algorithm the shard runtime cannot serve before a
             # single worker process starts.
-            refuse_unshardable(
-                get_algorithm(algorithm, graph, **self.algorithm_kwargs)
-            )
+            algo = get_algorithm(algorithm, graph, **self.algorithm_kwargs)
+            if not algo.supports_shards:
+                raise ConfigurationError(
+                    f"{algo.name} does not support the sharded worker "
+                    "runtime; build the session with shards=None"
+                )
             # The session owns the worker runtime: one graph share, one set
             # of resident workers, reused by every query it serves.
-            self._shard_pool = ShardPool(
-                graph, int(shards), spill_dir=spill_dir, metrics=self.metrics
-            )
-        elif spill_dir is not None:
-            raise ConfigurationError("spill_dir requires shards")
+            self._shard_pool = ShardPool(graph, int(shards), metrics=self.metrics)
         self.provider = BankProvider(
             graph,
             entropy=_session_entropy(seed),
@@ -431,7 +420,7 @@ class QuerySession:
         if self._shard_pool is not None:
             raise ConfigurationError(
                 "sharded sessions cannot be saved: the RR pools are "
-                "worker-resident (use spill_dir for on-disk shards instead)"
+                "worker-resident"
             )
         store: CheckpointStore = coerce_store(path)
         banks = self.provider.persistent_banks()

@@ -18,7 +18,6 @@ the ascending ids of the sets holding node ``v``.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -205,9 +204,6 @@ class RRCollection:
         #: by :meth:`_reserve` — the quantity the growth-policy
         #: micro-benchmark compares across policies.
         self.realloc_count = 0
-        #: when spilled, the ``prefix`` passed to :meth:`spill_to` (the
-        #: node pool and offsets live in disk-backed memory maps there).
-        self._spill_prefix: Optional[str] = None
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -240,15 +236,8 @@ class RRCollection:
         return np.diff(self.rr_indptr)
 
     def nbytes(self) -> int:
-        """Resident bytes of the pool buffers (nodes, offsets, indexes).
-
-        Disk-backed (spilled) buffers are excluded: the figure tracks RSS
-        pressure, and memory-mapped pages are reclaimable by the OS.
-        """
-        total = self._counts.nbytes
-        for buf in (self._nodes, self._indptr):
-            if not isinstance(buf, np.memmap):
-                total += buf.nbytes
+        """Resident bytes of the pool buffers (nodes, offsets, indexes)."""
+        total = self._counts.nbytes + self._nodes.nbytes + self._indptr.nbytes
         if self._inv_rrs is not None:
             total += self._inv_rrs.nbytes + self._inv_indptr.nbytes
         return total
@@ -263,10 +252,6 @@ class RRCollection:
             grown[: self.total_size] = self._nodes[: self.total_size]
             self._nodes = grown
             self.realloc_count += 1
-            # Growth promotes a spilled pool back to RAM implicitly: the
-            # copy above reads the memory map once and the fresh buffer is
-            # ordinary writable memory.
-            self._spill_prefix = None
         need = self._num_rr + extra_sets + 1
         if need > len(self._indptr):
             grown = np.zeros(_pow2_capacity(need, 256), dtype=np.int64)
@@ -453,8 +438,7 @@ class RRCollection:
         replaced sets' contents change — so prefix views, counter marks,
         and every clean set's identity survive.  The coverage-count cache
         is adjusted by the membership deltas; the inverted index is
-        dropped and rebuilt lazily.  A spilled pool is promoted back to
-        RAM (the rewrite touches the node pool).
+        dropped and rebuilt lazily.
         """
         rr_ids = np.asarray(rr_ids, dtype=np.int64)
         nodes = np.asarray(nodes, dtype=NODE_DTYPE)
@@ -518,7 +502,6 @@ class RRCollection:
         self._nodes = new_nodes
         self._indptr = indptr_buf
         self.total_size = new_total
-        self._spill_prefix = None
         # Same set count, new contents: force the lazy rebuild explicitly.
         self._inv_indptr = None
         self._inv_rrs = None
@@ -595,68 +578,6 @@ class RRCollection:
         if self._num_rr == 0:
             raise ValueError("cannot estimate influence from an empty pool")
         return self.n * self.coverage(seeds) / self._num_rr
-
-    # ------------------------------------------------------------------
-    # mmap spill
-    # ------------------------------------------------------------------
-    @property
-    def is_spilled(self) -> bool:
-        """True while the node pool lives in disk-backed memory maps."""
-        return self._spill_prefix is not None
-
-    def spill_to(self, prefix: str) -> Dict[str, str]:
-        """Move the node pool and offsets to disk-backed memory maps.
-
-        Writes ``{prefix}.nodes.npy`` / ``{prefix}.indptr.npy`` and rebinds
-        the buffers to read-only ``np.memmap`` views, dropping the inverted
-        index (it is rebuilt lazily — and deterministically, so a reloaded
-        pool serves bit-identical queries).  The per-node coverage counts
-        stay resident: they are O(n), not O(pool).  Every read path
-        (coverage, prefix views, per-set sums, the inverted index) works
-        unchanged on the mapped buffers; the first *append* after a spill
-        promotes the pool back to RAM via the ordinary growth copy.
-
-        Returns the written paths.  A spilled pool reports only its
-        resident buffers through :meth:`nbytes`, which is what lets a
-        shard runtime bound RSS while the on-disk pool keeps growing.
-        """
-        nodes_path = f"{prefix}.nodes.npy"
-        indptr_path = f"{prefix}.indptr.npy"
-        if self.total_size == 0:
-            # Nothing to map (and zero-length memory maps are not portable);
-            # an empty pool is already as small as it gets.
-            return {}
-        np.save(nodes_path, self._nodes[: self.total_size])
-        np.save(indptr_path, self._indptr[: self._num_rr + 1])
-        self._nodes = np.load(nodes_path, mmap_mode="r")
-        self._indptr = np.load(indptr_path, mmap_mode="r")
-        self._inv_indptr = None
-        self._inv_rrs = None
-        self._inv_num_rr = -1
-        self._spill_prefix = str(prefix)
-        return {"nodes": nodes_path, "indptr": indptr_path}
-
-    @classmethod
-    def from_spill(cls, n: int, prefix: str) -> "RRCollection":
-        """Reopen a pool previously :meth:`spill_to`-ed under ``prefix``.
-
-        The node pool and offsets stay memory-mapped; the coverage counts
-        are recomputed with one ``bincount`` pass over the map (exactly the
-        values incremental maintenance would have accumulated).
-        """
-        coll = cls(int(n))
-        nodes_path = f"{prefix}.nodes.npy"
-        indptr_path = f"{prefix}.indptr.npy"
-        if not (os.path.exists(nodes_path) and os.path.exists(indptr_path)):
-            raise FileNotFoundError(f"no spilled pool under {prefix!r}")
-        coll._nodes = np.load(nodes_path, mmap_mode="r")
-        coll._indptr = np.load(indptr_path, mmap_mode="r")
-        coll._num_rr = len(coll._indptr) - 1
-        coll.total_size = int(coll._indptr[-1])
-        counts = np.bincount(coll._nodes[: coll.total_size], minlength=coll.n)
-        coll._counts = counts.astype(np.int64, copy=False)
-        coll._spill_prefix = str(prefix)
-        return coll
 
     # ------------------------------------------------------------------
     # prefix views

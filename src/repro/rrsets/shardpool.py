@@ -15,10 +15,6 @@ all three costs:
   .RRCollection`) plus the lazily built inverted index.  Nothing is merged
   back to the parent; coverage runs *where the data lives* and only
   per-node gain vectors travel.
-* **Spill** — with a ``spill_dir``, worker shards can spill their pools to
-  disk-backed memory maps (:meth:`RRCollection.spill_to`) and the worker
-  checkpoints its state through the :class:`~repro.runtime.checkpoint
-  .CheckpointStore` after mutating commands.
 
 **Tagged wire.**  Every message carries a per-worker monotone *tag* —
 parent to worker ``(cmd, tag, payload)``, worker to parent ``(tag,
@@ -34,21 +30,12 @@ monotone per-worker sequence number and (for generation) a self-contained
 ``SeedSequence`` spec, so a worker's entire pool state is a pure function
 of the command journal the parent keeps.  When a worker dies the parent
 drains the dead pipe (already-sent replies are still readable and are
-stashed by tag), respawns the worker, restores the newest checkpoint (if
-any), replays the journal suffix — bit-identical, because requests are
-independently seeded — caching each replayed reply by sequence number,
-and re-establishes any in-progress selection state.  A pending reply is
-therefore always recoverable: checkpoints are taken only *after* a reply
-ships, so a lost reply is either in the drained pipe or owned by a
-replayed command.
-
-**Journal compaction.**  Once a worker's checkpoint covers a sequence
-number, the journal prefix up to it can never be replayed again (recovery
-resumes from the checkpoint); the parent truncates it when the journal
-exceeds ``journal_compact_threshold`` entries, so long sessions stop
-growing journals unboundedly.  Checkpoint writes are atomic
-(``os.replace``), so the newest loadable checkpoint always covers the
-compacted prefix.
+stashed by tag), respawns the worker, replays the whole journal from seq 0
+— bit-identical, because requests are independently seeded, and graph
+deltas are journaled like any other mutation — caching each replayed reply
+by sequence number, and re-establishes any in-progress selection state.  A
+pending reply is therefore always recoverable: it is either in the drained
+pipe or owned by a replayed command.
 """
 
 from __future__ import annotations
@@ -106,112 +93,14 @@ class _Selection:
 class _ShardWorker:
     """State machine executed by one worker process."""
 
-    def __init__(
-        self,
-        rank: int,
-        graph: CSRGraph,
-        spill_dir: Optional[str],
-        checkpoint_every: int,
-    ) -> None:
+    def __init__(self, rank: int, graph: CSRGraph) -> None:
         self.rank = rank
         self.graph = graph
-        self.spill_dir = spill_dir
-        self.checkpoint_every = int(checkpoint_every)
         self.roles: Dict[str, _RoleState] = {}
         self.selections: Dict[str, _Selection] = {}
         self.seq = 0
-        #: sequence number covered by the newest on-disk checkpoint; the
-        #: parent compacts its replay journal up to this point.
-        self.checkpoint_seq = 0
         self.last_reply: Optional[Tuple[int, Any]] = None
         self.crash_next = False
-        self.spilled_roles: set = set()
-        #: wire payloads of every graph delta applied, in order.  A respawn
-        #: attaches the *original* shared-memory graph, so the checkpoint
-        #: carries these and :meth:`restore` re-applies them before any
-        #: journal replay touches the graph.
-        self.deltas: List[dict] = []
-        self._dirty = False
-
-    # -- durability ----------------------------------------------------
-    def _store(self):
-        from repro.runtime.checkpoint import CheckpointStore
-
-        if self.spill_dir is None:
-            return None
-        path = os.path.join(self.spill_dir, f"shard{self.rank}.ckpt.npz")
-        return CheckpointStore(path)
-
-    def restore(self) -> None:
-        """Reload the newest checkpoint (respawn path); best effort."""
-        from repro.runtime.checkpoint import counters_from_dict
-        from repro.utils.exceptions import CheckpointError
-
-        store = self._store()
-        if store is None or not store.exists():
-            return
-        try:
-            meta, pools = store.load()
-        except CheckpointError:
-            # A torn checkpoint is refused, never half-loaded: replay from
-            # the journal origin reproduces the same state.
-            return
-        self.seq = int(meta["seq"])
-        self.checkpoint_seq = self.seq
-        # Graph first: role generators built below derive caches from it.
-        from repro.graphs.dynamic import GraphDelta
-
-        for payload in meta.get("deltas", []):
-            self.graph.apply_delta(GraphDelta.from_payload(payload))
-            self.deltas.append(payload)
-        for role, payload in meta["roles"].items():
-            state = self._role(
-                role, _import_class(payload["generator_cls"]), 1
-            )
-            state.pool = pools[role]
-            state.generator.counters = counters_from_dict(payload["counters"])
-            state.generator._reported_edges = 0
-            state.journal = list(payload.get("journal", []))
-        for role in meta.get("spilled", []):
-            self.spilled_roles.add(role)
-            self._spill_role(role)
-
-    def discard_checkpoint(self) -> None:
-        """Delete any checkpoint left in ``spill_dir`` by a prior process.
-
-        A *fresh* pool starts from an empty journal, so a checkpoint found
-        at spawn time can only belong to an earlier pool that shared the
-        directory.  Adopting it would leave ``seq`` ahead of the new
-        parent's journal and every journaled command would look like a
-        replay.
-        """
-        store = self._store()
-        if store is not None:
-            store.clear()
-
-    def checkpoint(self) -> None:
-        from repro.runtime.checkpoint import counters_to_dict
-
-        store = self._store()
-        if store is None or self.checkpoint_every <= 0:
-            return
-        if self.seq % self.checkpoint_every != 0:
-            return
-        meta = {
-            "seq": self.seq,
-            "spilled": sorted(self.spilled_roles),
-            "deltas": list(self.deltas),
-            "roles": {
-                role: {
-                    "generator_cls": _class_path(type(state.generator)),
-                    "counters": counters_to_dict(state.generator.counters),
-                    "journal": list(state.journal),
-                }
-                for role, state in self.roles.items()
-            },
-        }
-        store.save(meta, {role: s.pool for role, s in self.roles.items()})
-        self.checkpoint_seq = self.seq
 
     # -- role plumbing -------------------------------------------------
     def _role(self, role: str, generator_cls, batch_size) -> _RoleState:
@@ -240,43 +129,24 @@ class _ShardWorker:
             if seq < self.seq:
                 # A retried send reached a command this worker already
                 # applied: answer idempotently from the cached reply.
-                # Checkpoints are taken *after* the reply ships, so only
-                # the immediately preceding command can ever be re-sent —
-                # anything else means the journal and worker disagree.
+                # Only the immediately preceding command can ever be
+                # re-sent — anything else means the journal and worker
+                # disagree.
                 if self.last_reply is not None and self.last_reply[0] == seq:
                     return self.last_reply[1]
                 raise ShardPoolError(
                     f"shard {self.rank}: replayed seq {seq} predates worker "
-                    f"seq {self.seq} and no cached reply exists (stale "
-                    "checkpoint or journal mismatch)"
+                    f"seq {self.seq} and no cached reply exists (journal "
+                    "mismatch)"
                 )
         reply = handler(payload)
         if mutating:
             self.seq += 1
             self.last_reply = (int(payload["seq"]), reply)
-            self._dirty = True
         return reply
 
-    def maybe_checkpoint(self) -> None:
-        """Checkpoint after the reply has shipped, if state changed.
-
-        Ordering matters: persisting *before* replying would let a crash
-        land between the two, leaving a checkpoint whose sequence number
-        covers a reply the parent never received — replay would then skip
-        the command instead of re-answering it.
-        """
-        if self._dirty:
-            self._dirty = False
-            self.checkpoint()
-
     def _cmd_hello(self, payload):
-        return {
-            "seq": self.seq,
-            "roles": {role: s.pool.num_rr for role, s in self.roles.items()},
-        }
-
-    def _cmd_checkpoint_seq(self, payload):
-        return {"seq": int(self.checkpoint_seq)}
+        return {}
 
     def _cmd_generate(self, payload):
         from repro.observability.registry import MetricsRegistry
@@ -359,7 +229,6 @@ class _ShardWorker:
         if state is not None:
             state.pool = RRCollection(self.graph.n)
             state.journal = []
-        self.spilled_roles.discard(payload["role"])
         return {"num_rr": 0}
 
     def _cmd_apply_delta(self, payload):
@@ -367,7 +236,6 @@ class _ShardWorker:
 
         delta = GraphDelta.from_payload(payload["delta"])
         touched = self.graph.apply_delta(delta)
-        self.deltas.append(payload["delta"])
         # Resident generators hold construction-time caches derived from
         # the pre-delta graph (e.g. SUBSIM's per-node rate arrays): rebuild
         # each one in place, carrying its cumulative counters.
@@ -398,8 +266,8 @@ class _ShardWorker:
                 state.journal, dirty, repair_gen
             )
             # Fresh per-set fallback seeds for dirty sets the journal
-            # cannot replay (adopted sets, pre-journal checkpoints); the
-            # rank is in the spawn key so shards never share a stream.
+            # cannot replay (adopted sets); the rank is in the spawn key so
+            # shards never share a stream.
             for local_id in uncovered:
                 seq = np.random.SeedSequence(
                     payload["entropy"],
@@ -430,42 +298,17 @@ class _ShardWorker:
                 sizes_arr[order],
             )
             num_resampled = len(ids)
-            # replace_sets promotes a spilled pool back to RAM.
-            self.spilled_roles.discard(role)
         return {
             "num_dirty": int(len(dirty)),
             "num_rr": pool.num_rr,
             "num_resampled": int(num_resampled),
         }
 
-    def _spill_role(self, role: str) -> int:
-        state = self.roles.get(role)
-        if state is None or self.spill_dir is None:
-            return 0
-        safe = role.replace("/", "_")
-        state.pool.spill_to(
-            os.path.join(self.spill_dir, f"shard{self.rank}.{safe}")
-        )
-        return state.pool.nbytes()
-
-    def _cmd_spill(self, payload):
-        if self.spill_dir is None:
-            raise ShardPoolError("spill requested but the pool has no spill_dir")
-        roles = (
-            [payload["role"]] if payload.get("role") else list(self.roles)
-        )
-        resident = {}
-        for role in roles:
-            resident[role] = self._spill_role(role)
-            self.spilled_roles.add(role)
-        return {"resident_bytes": resident}
-
     def _cmd_stats(self, payload):
         return {
             role: {
                 "num_rr": s.pool.num_rr,
                 "nbytes": s.pool.nbytes(),
-                "spilled": s.pool.is_spilled,
                 "realloc_count": s.pool.realloc_count,
             }
             for role, s in self.roles.items()
@@ -522,7 +365,7 @@ class _ShardWorker:
 #: commands that advance worker state; they carry ``seq``, are journaled by
 #: the parent, and are replayed verbatim after a crash.
 _MUTATING_COMMANDS = frozenset(
-    {"generate", "adopt", "reset_role", "spill", "apply_delta", "repair"}
+    {"generate", "adopt", "reset_role", "apply_delta", "repair"}
 )
 
 
@@ -533,36 +376,10 @@ def _counter_tuple(c) -> Tuple[int, int, int, int, int]:
     )
 
 
-def _class_path(cls) -> str:
-    return f"{cls.__module__}:{cls.__qualname__}"
-
-
-def _import_class(path: str):
-    import importlib
-
-    module, _, name = path.partition(":")
-    obj = importlib.import_module(module)
-    for part in name.split("."):
-        obj = getattr(obj, part)
-    return obj
-
-
-def _shard_worker_main(rank, conn, handle, spill_dir, checkpoint_every,
-                       restore):
-    """Worker process entry point: attach the graph, serve commands.
-
-    ``restore`` is True only on a crash-recovery respawn: the checkpoint
-    then belongs to this pool and resuming from it shortens journal
-    replay.  On a fresh spawn any checkpoint in ``spill_dir`` is a
-    leftover from a *previous* process and is discarded instead — the new
-    pool's journal starts at zero and must stay in lockstep with ``seq``.
-    """
+def _shard_worker_main(rank, conn, handle):
+    """Worker process entry point: attach the graph, serve commands."""
     graph = CSRGraph.from_shared(handle)
-    worker = _ShardWorker(rank, graph, spill_dir, checkpoint_every)
-    if restore:
-        worker.restore()
-    else:
-        worker.discard_checkpoint()
+    worker = _ShardWorker(rank, graph)
     while True:
         try:
             cmd, tag, payload = conn.recv()
@@ -583,7 +400,6 @@ def _shard_worker_main(rank, conn, handle, spill_dir, checkpoint_every,
             conn.send((tag, "error", f"{type(exc).__name__}: {exc}"))
             continue
         conn.send((tag, "ok", reply))
-        worker.maybe_checkpoint()
 
 
 # ----------------------------------------------------------------------
@@ -598,11 +414,6 @@ class ShardPool:
     resident :class:`RRCollection` shard per worker.  Communication is
     tagged request/reply over per-worker pipes; every call gathers its
     replies in rank order.
-
-    ``spill_dir`` enables spill-to-disk for cold shards, the per-worker
-    checkpoint that shortens crash-recovery replay, and journal
-    compaction; without it, recovery replays the full journal (still
-    bit-identical — just slower).
     """
 
     def __init__(
@@ -610,21 +421,13 @@ class ShardPool:
         graph: CSRGraph,
         shards: int,
         *,
-        spill_dir: Optional[str] = None,
-        checkpoint_every: int = 1,
         mp_context: Optional[str] = None,
         metrics=None,
-        journal_compact_threshold: int = 64,
     ) -> None:
         if shards < 1:
             raise ShardPoolError(f"shards must be >= 1, got {shards}")
         self.graph = graph
         self.shards = int(shards)
-        self.spill_dir = os.fspath(spill_dir) if spill_dir is not None else None
-        if self.spill_dir is not None:
-            os.makedirs(self.spill_dir, exist_ok=True)
-        self.checkpoint_every = int(checkpoint_every)
-        self.journal_compact_threshold = int(journal_compact_threshold)
         self.metrics = metrics
         self._ctx = multiprocessing.get_context(mp_context)
         self._handle, self._shm = graph.to_shared()
@@ -633,9 +436,6 @@ class ShardPool:
         self._journal: List[List[Tuple[str, dict]]] = [
             [] for _ in range(self.shards)
         ]
-        #: absolute seq of each rank's first retained journal entry
-        #: (compaction trims the prefix a shipped checkpoint covers).
-        self._journal_base: List[int] = [0] * self.shards
         #: per-rank monotone message tags (never reset, even on respawn,
         #: so stashed replies from a dead worker stay unambiguous).
         self._tags: List[int] = [0] * self.shards
@@ -732,14 +532,11 @@ class ShardPool:
         return reply
 
     # -- spawn / recovery ----------------------------------------------
-    def _spawn(self, rank: int, *, restore: bool = False) -> int:
+    def _spawn(self, rank: int) -> None:
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_shard_worker_main,
-            args=(
-                rank, child_conn, self._handle, self.spill_dir,
-                self.checkpoint_every, restore,
-            ),
+            args=(rank, child_conn, self._handle),
             daemon=True,
             name=f"repro-shard-{rank}",
         )
@@ -748,8 +545,7 @@ class ShardPool:
         self._conns[rank] = parent_conn
         self._procs[rank] = proc
         self._epochs[rank] += 1
-        reply = self._exchange(rank, "hello", {})
-        return int(reply["seq"])
+        self._exchange(rank, "hello", {})
 
     def _drain_dead(self, rank: int) -> None:
         """Stash every reply still buffered in a dead worker's pipe.
@@ -769,7 +565,7 @@ class ShardPool:
             pass
 
     def _recover(self, rank: int) -> None:
-        """Respawn a dead worker and replay its journal suffix."""
+        """Respawn a dead worker and replay its whole journal."""
         if self.metrics is not None:
             self.metrics.inc("shardpool.worker_crashes")
         proc = self._procs[rank]
@@ -782,21 +578,12 @@ class ShardPool:
         conn = self._conns[rank]
         if conn is not None:
             conn.close()
-        restored = self._spawn(rank, restore=True)
-        base = self._journal_base[rank]
-        if restored < base:
-            raise ShardPoolError(
-                f"shard {rank}: restored checkpoint covers seq {restored} "
-                f"but the journal was compacted up to seq {base}; the "
-                "checkpoint that justified compaction is gone"
-            )
+        self._spawn(rank)
         cache: Dict[int, Any] = {}
         self._replay_cache[rank] = cache
         try:
-            for offset, (cmd, payload) in enumerate(
-                self._journal[rank][restored - base:]
-            ):
-                cache[restored + offset] = self._exchange(rank, cmd, payload)
+            for seq, (cmd, payload) in enumerate(self._journal[rank]):
+                cache[seq] = self._exchange(rank, cmd, payload)
         except _LINK_ERRORS:
             raise ShardPoolError(
                 f"shard {rank} died again during recovery replay; giving up"
@@ -813,23 +600,6 @@ class ShardPool:
                     "select_mark",
                     {"role": role, "node": node, "want_decrements": False},
                 )
-
-    def _maybe_compact(self, rank: int) -> None:
-        """Trim the replay journal up to the worker's shipped checkpoint."""
-        if self.spill_dir is None or self.checkpoint_every <= 0:
-            return
-        if len(self._journal[rank]) < self.journal_compact_threshold:
-            return
-        try:
-            ck = int(self._exchange(rank, "checkpoint_seq", {})["seq"])
-        except _LINK_ERRORS:
-            return  # dead worker: the next real command recovers it
-        cut = ck - self._journal_base[rank]
-        if cut > 0:
-            del self._journal[rank][:cut]
-            self._journal_base[rank] = ck
-            if self.metrics is not None:
-                self.metrics.inc("shardpool.journal_compactions")
 
     def _finish_request(
         self,
@@ -882,7 +652,7 @@ class ShardPool:
             raise ShardPoolError("shard pool is closed")
         seq: Optional[int] = None
         if journal:
-            seq = self._journal_base[rank] + len(self._journal[rank])
+            seq = len(self._journal[rank])
             payload = dict(payload, seq=seq)
             self._journal[rank].append((cmd, payload))
         epoch = self._epochs[rank]
@@ -890,10 +660,7 @@ class ShardPool:
             tag: Optional[int] = self._send(rank, cmd, payload)
         except _LINK_ERRORS:
             tag = None
-        reply = self._finish_request(rank, tag, seq, epoch, cmd, payload)
-        if journal:
-            self._maybe_compact(rank)
-        return reply
+        return self._finish_request(rank, tag, seq, epoch, cmd, payload)
 
     def _request_all(
         self,
@@ -917,7 +684,7 @@ class ShardPool:
             payload = payloads[rank]
             seq: Optional[int] = None
             if journal:
-                seq = self._journal_base[rank] + len(self._journal[rank])
+                seq = len(self._journal[rank])
                 payload = dict(payload, seq=seq)
                 self._journal[rank].append((cmd, payload))
             staged.append(payload)
@@ -927,16 +694,12 @@ class ShardPool:
                 tags.append(self._send(rank, cmd, payload))
             except _LINK_ERRORS:
                 tags.append(None)
-        replies = [
+        return [
             self._finish_request(
                 rank, tags[rank], seqs[rank], epochs[rank], cmd, staged[rank]
             )
             for rank in range(self.shards)
         ]
-        if journal:
-            for rank in range(self.shards):
-                self._maybe_compact(rank)
-        return replies
 
     # -- generation ----------------------------------------------------
     def generate(
@@ -1032,23 +795,8 @@ class ShardPool:
             "repair", [payload] * self.shards, journal=True
         )
 
-    def spill(self, role: Optional[str] = None) -> List[dict]:
-        """Spill ``role`` (or all roles) to disk on every shard."""
-        return self._request_all(
-            "spill", [{"role": role}] * self.shards, journal=True
-        )
-
     def stats(self) -> List[dict]:
         return self._request_all("stats", [{}] * self.shards)
-
-    def checkpoint_seqs(self) -> List[int]:
-        """Each rank's newest shipped checkpoint sequence number."""
-        replies = self._request_all("checkpoint_seq", [{}] * self.shards)
-        return [int(r["seq"]) for r in replies]
-
-    def journal_lengths(self) -> List[int]:
-        """Retained (post-compaction) journal entries per rank."""
-        return [len(journal) for journal in self._journal]
 
     def crash_next_generate(self, rank: int) -> None:
         """Arm the chaos hook: ``rank`` dies mid-way through its next

@@ -68,15 +68,6 @@ class ServerConfig:
     snapshot_every:
         Snapshot a session after every N-th query it serves (1 = every
         query).
-    shards:
-        When set, every tenant session runs on a persistent
-        :class:`~repro.rrsets.shardpool.ShardPool` of this many workers
-        (shard-resident RR banks, scatter-gather selection).  Mutually
-        exclusive with ``snapshot_dir``: shard-resident pools recover
-        through their own journals/checkpoints, not session snapshots.
-    spill_dir:
-        Root directory for shard spill + checkpoint files; each tenant
-        session gets its own subdirectory.  Requires ``shards``.
     """
 
     host: str = "127.0.0.1"
@@ -93,8 +84,6 @@ class ServerConfig:
     query_retries: int = 1
     snapshot_dir: Optional[str] = None
     snapshot_every: int = 1
-    shards: Optional[int] = None
-    spill_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -115,18 +104,8 @@ class ServerConfig:
             raise ConfigurationError(
                 f"default_deadline must be positive, got {self.default_deadline}"
             )
-        if self.shards is not None and self.shards < 1:
-            raise ConfigurationError(
-                f"shards must be >= 1, got {self.shards}"
-            )
-        if self.shards is not None and self.snapshot_dir is not None:
-            raise ConfigurationError(
-                "shards and snapshot_dir are mutually exclusive: "
-                "shard-resident sessions recover via shard checkpoints, "
-                "not session snapshots"
-            )
-        if self.spill_dir is not None and self.shards is None:
-            raise ConfigurationError("spill_dir requires shards")
+        if not 0.0 < self.eps < 1.0:
+            raise ConfigurationError(f"eps must lie in (0, 1), got {self.eps}")
         for tenant, cap in self.tenant_byte_caps.items():
             if cap < 1:
                 raise ConfigurationError(

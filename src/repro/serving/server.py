@@ -44,7 +44,6 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from repro.core.certify import Certificate, partial_certificate
 from repro.core.registry import get_algorithm
 from repro.core.results import IMResult
-from repro.engine.session import refuse_unshardable
 from repro.graphs.csr import build_graph
 from repro.observability.registry import MetricsRegistry
 from repro.observability.report import build_run_report
@@ -98,6 +97,7 @@ class QueryJob:
         k: int,
         eps: float,
         deadline_seconds: Optional[float],
+        metrics: MetricsRegistry,
         arrived: Optional[float] = None,
     ) -> None:
         self.tenant = tenant
@@ -105,6 +105,7 @@ class QueryJob:
         self.k = k
         self.eps = eps
         self.deadline_seconds = deadline_seconds
+        self.metrics = metrics
         self.arrived = time.monotonic() if arrived is None else arrived
         self.token = CancellationToken()
         self._done = threading.Event()
@@ -123,11 +124,20 @@ class QueryJob:
             return None
         return self.deadline_seconds - (time.monotonic() - self.arrived)
 
-    def respond(self, status_code: int, response: Dict[str, Any]) -> bool:
-        """First responder wins; later calls (an abandoned worker) no-op."""
+    def respond(
+        self, status_code: int, response: Dict[str, Any], *counters: str
+    ) -> bool:
+        """First responder wins; later calls (an abandoned worker) no-op.
+
+        The winner's outcome ``counters`` are bumped before the answer is
+        released, so each query is counted once and a client never reads
+        ``/metrics`` ahead of its own answer's count.
+        """
         with self._lock:
             if self._done.is_set():
                 return False
+            for name in counters:
+                self.metrics.inc(name)
             self.status_code = status_code
             self.response = response
             self._done.set()
@@ -147,12 +157,10 @@ class QueryServer:
         faults: Optional[ServerFaultInjector] = None,
     ) -> None:
         self.config = config if config is not None else ServerConfig()
-        # Refuse a setting that would fail every query before one is served.
-        # QuerySession's name lookup and shard check depend on the name
-        # alone, so a one-node graph stands in for the graphs served later.
-        algo = get_algorithm(self.config.algorithm, build_graph(1, [], [], []))
-        if self.config.shards is not None:
-            refuse_unshardable(algo)
+        # Refuse an unknown algorithm before a query is served. The name
+        # lookup depends on the name alone, so a one-node graph stands in
+        # for the graphs served later.
+        get_algorithm(self.config.algorithm, build_graph(1, [], [], []))
         self.metrics = MetricsRegistry()
         self.faults = faults
         self.registry = (
@@ -468,6 +476,7 @@ class QueryServer:
             k=int(k),
             eps=float(eps),
             deadline_seconds=None if deadline is None else float(deadline),
+            metrics=self.metrics,
             arrived=arrived,
         )
 
@@ -484,9 +493,10 @@ class QueryServer:
                 try:
                     self._execute(job)
                 except Exception as exc:  # noqa: BLE001 - workers never die
-                    self.metrics.inc("serving.degraded")
                     job.respond(
-                        500, {"error": "internal error", "detail": str(exc)}
+                        500,
+                        {"error": "internal error", "detail": str(exc)},
+                        "serving.degraded",
                     )
             finally:
                 self._queue.task_done()
@@ -572,12 +582,14 @@ class QueryServer:
         self._respond_result(job, graph, *outcome)
 
     def _respond_deadline(self, job: QueryJob) -> None:
-        self.metrics.inc("serving.deadline_exceeded")
-        self._respond_degraded(job, "deadline_exceeded")
+        self._respond_degraded(
+            job, "deadline_exceeded", "serving.deadline_exceeded"
+        )
 
-    def _respond_degraded(self, job: QueryJob, stop_reason: str, **extra: Any) -> None:
+    def _respond_degraded(
+        self, job: QueryJob, stop_reason: str, *counters: str, **extra: Any
+    ) -> None:
         """Answer 200 ``degraded``: no seeds and a vacuous certificate."""
-        self.metrics.inc("serving.degraded")
         job.respond(
             200,
             {
@@ -590,6 +602,8 @@ class QueryServer:
                 "seeds": [],
                 "certificate": _degraded_certificate(),
             },
+            "serving.degraded",
+            *counters,
         )
 
     def _respond_result(
@@ -597,12 +611,12 @@ class QueryServer:
     ) -> None:
         self.admission.record_spend(result)
         certificate = partial_certificate(result)
-        if result.is_partial:
-            self.metrics.inc("serving.partial")
-            if result.stop_reason in ("deadline", "cancelled"):
-                self.metrics.inc("serving.deadline_exceeded")
+        if not result.is_partial:
+            counters: Tuple[str, ...] = ("serving.completed",)
+        elif result.stop_reason in ("deadline", "cancelled"):
+            counters = ("serving.partial", "serving.deadline_exceeded")
         else:
-            self.metrics.inc("serving.completed")
+            counters = ("serving.partial",)
         report = build_run_report(
             result,
             graph,
@@ -626,7 +640,7 @@ class QueryServer:
             "certificate": _certificate_block(certificate),
             "session": result.extras.get("session", {}),
         }
-        job.respond(200, payload)
+        job.respond(200, payload, *counters)
 
     # ------------------------------------------------------------------
     # observability endpoints

@@ -100,14 +100,6 @@ class SessionManager:
         name = f"{_safe(tenant)}__{_safe(graph_name)}.session.npz"
         return os.path.join(self.config.snapshot_dir, name)
 
-    def spill_path(self, tenant: str, graph_name: str) -> Optional[str]:
-        """Per-session shard spill directory (tenants never share files)."""
-        if not self.config.spill_dir:
-            return None
-        return os.path.join(
-            self.config.spill_dir, f"{_safe(tenant)}__{_safe(graph_name)}"
-        )
-
     # ------------------------------------------------------------------
     def _build(self, tenant: str, graph_name: str, graph: CSRGraph) -> SessionEntry:
         # A tenant-specific byte cap overrides the server-wide default, so
@@ -121,8 +113,6 @@ class SessionManager:
             self.config.algorithm,
             seed=tenant_entropy(self.config.seed, tenant, graph_name),
             byte_cap=byte_cap,
-            shards=self.config.shards,
-            spill_dir=self.spill_path(tenant, graph_name),
         )
         entry = SessionEntry((tenant, graph_name), session)
         path = self.snapshot_path(tenant, graph_name)

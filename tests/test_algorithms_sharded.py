@@ -120,12 +120,6 @@ class TestShardedSession:
             with pytest.raises(ConfigurationError):
                 session.save(str(tmp_path / "s.npz"))
 
-    def test_spill_dir_requires_shards(self, graph, tmp_path):
-        with pytest.raises(ConfigurationError):
-            QuerySession(
-                graph, "subsim", seed=5, spill_dir=str(tmp_path)
-            )
-
     def test_close_idempotent(self, graph):
         session = QuerySession(graph, "subsim", seed=5, shards=2)
         session.maximize(3, eps=0.4, batch_size=16)

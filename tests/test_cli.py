@@ -591,7 +591,7 @@ class TestServeCli:
                      "query_retries", "snapshot_every"):
             assert getattr(config, name) == getattr(defaults, name), name
 
-    def test_unshardable_algorithm_exits_before_binding(
+    def test_eps_outside_unit_interval_exits_before_binding(
         self, weighted_npz, monkeypatch, capsys
     ):
         import signal
@@ -609,60 +609,9 @@ class TestServeCli:
         monkeypatch.setattr(QueryServer, "start", start)
         rc = main([
             "serve", "--graph", f"demo={weighted_npz}", "--port", "0",
-            "--shards", "2", "--algorithm", "ssa",
+            "--eps", "5",
         ])
         assert rc == 2
         captured = capsys.readouterr()
         assert "serving" not in captured.out
-        assert "does not support the sharded" in captured.err
-
-
-class TestShardsFlag:
-    """``--shards`` backs a ``--ks ... --reuse-pool`` session."""
-
-    def test_run_with_shards(self, weighted_npz, capsys):
-        rc = main([
-            "run", weighted_npz, "--algorithm", "subsim", "--ks", "3",
-            "--reuse-pool", "--eps", "0.4", "--seed", "3", "--shards", "2",
-            "--batch-size", "16",
-        ])
-        assert rc == 0
-        payload = json.loads(capsys.readouterr().out)
-        (query,) = payload["queries"]
-        assert query["status"] == "complete"
-        assert len(query["seeds"]) == 3
-
-    def test_ks_share_one_warm_pool(self, weighted_npz, capsys):
-        rc = main([
-            "run", weighted_npz, "--algorithm", "subsim",
-            "--ks", "2,3", "--reuse-pool", "--eps", "0.4", "--seed", "3",
-            "--shards", "2", "--batch-size", "16",
-        ])
-        assert rc == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert [q["k"] for q in payload["queries"]] == [2, 3]
-        assert payload["queries"][1]["session"]["sets_reused"] > 0
-
-    def test_shards_without_reuse_pool_rejected(self, weighted_npz, capsys):
-        rc = main([
-            "run", weighted_npz, "--algorithm", "subsim", "--ks", "2,3",
-            "--seed", "3", "--shards", "2",
-        ])
-        assert rc == 2
-        assert "--reuse-pool" in capsys.readouterr().err
-
-    def test_unshardable_algorithm_rejected(self, weighted_npz, capsys):
-        rc = main([
-            "run", weighted_npz, "--algorithm", "ssa", "--ks", "2",
-            "--reuse-pool", "--seed", "3", "--shards", "2",
-        ])
-        assert rc == 2
-        assert "shards=None" in capsys.readouterr().err
-
-    def test_spill_dir_without_shards_rejected(self, weighted_npz, capsys):
-        rc = main([
-            "run", weighted_npz, "--ks", "3", "--reuse-pool", "--seed", "1",
-            "--spill-dir", "/tmp/nope",
-        ])
-        assert rc == 2
-        assert "spill" in capsys.readouterr().err.lower()
+        assert "eps must lie in (0, 1)" in captured.err

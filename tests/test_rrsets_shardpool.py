@@ -1,9 +1,8 @@
-"""ShardPool: persistent shard workers, chaos recovery, spill, adoption.
+"""ShardPool: persistent shard workers, chaos recovery, adoption, deltas.
 
 These tests exercise the worker runtime directly at the request level —
 determinism of repeated requests, resident accumulation across requests,
-journal-replay crash recovery (with and without checkpoint shortening),
-and spill-to-disk transparency.  Selection equivalence against the
+and journal-replay crash recovery.  Selection equivalence against the
 single-pool implementations lives in ``test_coverage_sharded.py``.
 """
 
@@ -91,9 +90,9 @@ class TestDeterminism:
 
 
 class TestCrashRecovery:
-    def _run(self, graph, crash_rank=None, spill_dir=None):
+    def _run(self, graph, crash_rank=None):
         metrics = MetricsRegistry()
-        with ShardPool(graph, 2, spill_dir=spill_dir, metrics=metrics) as pool:
+        with ShardPool(graph, 2, metrics=metrics) as pool:
             c0 = _generate(pool, req=0)
             if crash_rank is not None:
                 pool.crash_next_generate(crash_rank)
@@ -107,35 +106,6 @@ class TestCrashRecovery:
         crashed, crashes1 = self._run(graph, crash_rank=0)
         assert crashes0 == 0 and crashes1 == 1
         assert clean == crashed
-
-    def test_crash_recovery_with_checkpoints(self, graph, tmp_path):
-        clean, _ = self._run(graph)
-        crashed, crashes = self._run(
-            graph, crash_rank=1, spill_dir=str(tmp_path)
-        )
-        assert crashes == 1
-        assert clean == crashed
-
-    def test_fresh_pool_ignores_previous_pools_checkpoints(
-        self, graph, tmp_path
-    ):
-        # A spill dir reused across pool lifetimes holds checkpoints from
-        # the dead pool.  A fresh pool must discard them — adopting one
-        # would leave worker ``seq`` ahead of the empty journal and every
-        # request would be misread as a replay.
-        spill_dir = str(tmp_path)
-        with ShardPool(
-            graph, 2, spill_dir=spill_dir, checkpoint_every=1
-        ) as pool:
-            _generate(pool, req=0)
-        with ShardPool(graph, 2, spill_dir=spill_dir) as pool:
-            counts = _generate(pool, req=0)
-            stats = pool.stats()
-            assert sum(s["r"]["num_rr"] for s in stats) == sum(counts)
-            fresh = _fingerprint(pool, graph, "r", counts)
-        with ShardPool(graph, 2) as pool:
-            counts = _generate(pool, req=0)
-            assert fresh == _fingerprint(pool, graph, "r", counts)
 
     def test_crash_during_selection_recovers(self, graph):
         # A selection open at crash time is rebuilt (limits + marks) so
@@ -156,33 +126,6 @@ class TestCrashRecovery:
                 pool.select_end("r")
                 results.append((gains.tolist(), covered))
         assert results[0] == results[1]
-
-
-class TestSpill:
-    def test_spill_preserves_queries(self, graph, tmp_path):
-        with ShardPool(graph, 2, spill_dir=str(tmp_path)) as pool:
-            counts = _generate(pool, req=0)
-            before = _fingerprint(pool, graph, "r", counts)
-            pool.spill("r")
-            stats = pool.stats()
-            assert all(s["r"]["spilled"] for s in stats)
-            assert before == _fingerprint(pool, graph, "r", counts)
-
-    def test_generate_after_spill_promotes(self, graph, tmp_path):
-        with ShardPool(graph, 2, spill_dir=str(tmp_path)) as pool:
-            c0 = _generate(pool, req=0)
-            pool.spill("r")
-            c1 = _generate(pool, req=1)
-            stats = pool.stats()
-            total = sum(s["r"]["num_rr"] for s in stats)
-            assert total == sum(c0) + sum(c1)
-            assert not any(s["r"]["spilled"] for s in stats)
-
-    def test_spill_without_dir_rejected(self, graph):
-        with ShardPool(graph, 2) as pool:
-            _generate(pool, req=0)
-            with pytest.raises(ShardPoolError):
-                pool.spill("r")
 
 
 class TestAdopt:
@@ -275,70 +218,3 @@ class TestDynamicDeltas:
             assert all(r["num_dirty"] == 0 for r in replies)
             assert _fingerprint(pool, graph, "r", counts) == before
 
-
-class TestJournalCompaction:
-    """Checkpoint-covered journal prefixes are trimmed; recovery holds."""
-
-    def _fill(self, pool, requests=5, count=40):
-        counts = [
-            _generate(pool, count=count, req=req) for req in range(requests)
-        ]
-        return [sum(c) for c in zip(*counts)]
-
-    def test_compaction_trims_journal(self, graph, tmp_path):
-        metrics = MetricsRegistry()
-        with ShardPool(
-            graph, 2, spill_dir=str(tmp_path), checkpoint_every=1,
-            metrics=metrics, journal_compact_threshold=2,
-        ) as pool:
-            self._fill(pool)
-            assert metrics.value("shardpool.journal_compactions") > 0
-            assert max(pool.journal_lengths()) < 5
-            assert min(pool.checkpoint_seqs()) > 0
-
-    def test_compaction_every_request_keeps_totals(self, graph, tmp_path):
-        # Threshold 1 compacts after every journaled request, right after
-        # its reply was collected; the resident pools must not notice.
-        metrics = MetricsRegistry()
-        with ShardPool(
-            graph, 2, spill_dir=str(tmp_path), checkpoint_every=1,
-            metrics=metrics, journal_compact_threshold=1,
-        ) as pool:
-            limits = self._fill(pool, requests=3)
-            assert metrics.value("shardpool.journal_compactions") > 0
-            stats = pool.stats()
-            assert [s["r"]["num_rr"] for s in stats] == limits
-
-    def test_no_compaction_without_checkpoints(self, graph):
-        metrics = MetricsRegistry()
-        with ShardPool(
-            graph, 2, metrics=metrics, journal_compact_threshold=2
-        ) as pool:
-            self._fill(pool)
-            assert pool.journal_lengths() == [5, 5]
-            assert metrics.value("shardpool.journal_compactions") == 0
-
-    def test_post_compaction_crash_recovery_bit_identical(
-        self, graph, tmp_path
-    ):
-        with ShardPool(graph, 2) as pool:
-            limits = self._fill(pool, requests=6)
-            clean = _fingerprint(pool, graph, "r", limits)
-        metrics = MetricsRegistry()
-        with ShardPool(
-            graph, 2, spill_dir=str(tmp_path), checkpoint_every=1,
-            metrics=metrics, journal_compact_threshold=2,
-        ) as pool:
-            self._fill(pool)
-            assert metrics.value("shardpool.journal_compactions") > 0
-            pool.crash_next_generate(0)
-            c5 = _generate(pool, count=40, req=5)
-            limits = [
-                a + b for a, b in zip(self._limits_after(pool, 5), c5)
-            ]
-            assert clean == _fingerprint(pool, graph, "r", limits)
-        assert metrics.value("shardpool.worker_crashes") == 1
-
-    def _limits_after(self, pool, requests, count=40):
-        counts = [shard_counts(count, pool.shards) for _ in range(requests)]
-        return [sum(c) for c in zip(*counts)]

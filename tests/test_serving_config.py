@@ -3,7 +3,8 @@
 A server configuration that would fail every query is refused when the
 server is built, not per query.  When a worker is stuck past its
 deadline, the handler answers on its behalf with exactly the degraded
-payload and counters the worker itself would have produced.
+payload and counters the worker itself would have produced, and the
+worker's late answer counts nothing.
 """
 
 import pytest
@@ -34,33 +35,54 @@ def _server(graph, faults=None):
     )
 
 
+OUTCOME_COUNTERS = (
+    "serving.completed",
+    "serving.partial",
+    "serving.deadline_exceeded",
+    "serving.degraded",
+)
+
+#: the outcome counts of one query answered degraded at its deadline
+DEADLINE_COUNTS = {
+    "serving.completed": 0,
+    "serving.partial": 0,
+    "serving.deadline_exceeded": 1,
+    "serving.degraded": 1,
+}
+
+
 def _deadline_answer(graph, faults):
-    """One 0.05 s-deadline query; returns (status, payload, counters)."""
+    """One 0.05 s-deadline query.
+
+    Returns ``(status, payload, at_answer, after_stop)``: the outcome
+    counters as soon as the answer arrives, and again after ``stop()``
+    has joined every worker, a stalled one included.
+    """
     server = _server(graph, faults=faults)
+
+    def counters():
+        return {name: server.metrics.value(name) for name in OUTCOME_COUNTERS}
+
     with server:
         status, payload = ServeClient(*server.address).query(
             "pa", 5, tenant="alice", deadline_seconds=0.05
         )
-        # Read before a stalled worker wakes up and answers (a no-op) too.
-        counters = {
-            name: server.metrics.value(name)
-            for name in ("serving.deadline_exceeded", "serving.degraded")
-        }
-    return status, payload, counters
+        at_answer = counters()
+    return status, payload, at_answer, counters()
 
 
 class TestStartupRefusal:
-    def test_unshardable_algorithm_refused(self):
-        with pytest.raises(ConfigurationError, match="does not support the sharded"):
-            QueryServer(ServerConfig(seed=0, shards=2, algorithm="ssa"))
-
     def test_unknown_algorithm_refused(self):
         with pytest.raises(ConfigurationError, match="unknown algorithm"):
             QueryServer(ServerConfig(algorithm="no-such-algorithm"))
 
-    def test_unsharded_ssa_and_sharded_subsim_accepted(self):
+    def test_unsharded_ssa_accepted(self):
         QueryServer(ServerConfig(algorithm="ssa"))
-        QueryServer(ServerConfig(shards=2, algorithm="subsim"))
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 5.0, -0.1])
+    def test_eps_outside_unit_interval_refused(self, eps):
+        with pytest.raises(ConfigurationError, match="eps must lie in"):
+            ServerConfig(eps=eps)
 
 
 class TestHandlerSideDeadline:
@@ -82,14 +104,25 @@ class TestHandlerSideDeadline:
                 at_worker=1, mode="delay", delay_seconds=0.5, jitter=0.0
             ),
         )
-        assert handler_side == worker_side
-        status, payload, counters = handler_side
+        assert handler_side[:3] == worker_side[:3]
+        status, payload, at_answer, _ = handler_side
         assert status == 200
         assert payload["status"] == "degraded"
         assert payload["stop_reason"] == "deadline_exceeded"
         assert payload["seeds"] == []
         assert payload["certificate"]["complete"] is False
-        assert counters == {
-            "serving.deadline_exceeded": 1,
-            "serving.degraded": 1,
-        }
+        # The winning responder counts before it releases the answer.
+        assert at_answer == DEADLINE_COUNTS
+
+    def test_stalled_worker_is_counted_once(self, graph, monkeypatch):
+        # The worker wakes after the handler answered; its own degraded
+        # answer is dropped, and so are its counts.
+        monkeypatch.setattr(server_module, "DEADLINE_GRACE", 0.05)
+        _, payload, _, after_stop = _deadline_answer(
+            graph,
+            ServerFaultInjector(
+                at_worker=1, mode="delay", delay_seconds=0.5, jitter=0.0
+            ),
+        )
+        assert payload["stop_reason"] == "deadline_exceeded"
+        assert after_stop == DEADLINE_COUNTS

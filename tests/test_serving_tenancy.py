@@ -1,4 +1,4 @@
-"""Per-tenant byte caps: config validation, session wiring, CLI flags."""
+"""Per-tenant sessions: byte caps (config, wiring, CLI flags), close_all."""
 
 from __future__ import annotations
 
@@ -75,6 +75,16 @@ class TestTenantByteCaps:
         # per-tenant entropy keeps each tenant deterministic.
         assert answers["tiny"][0] == answers["tiny"][1]
         assert answers["roomy"][0] == answers["roomy"][1]
+
+
+class TestSessionLifecycle:
+    def test_close_all_idempotent(self, graph):
+        manager = SessionManager(ServerConfig(eps=0.4, seed=7))
+        with manager.lease("t1", "g", graph) as session:
+            session.maximize(3, eps=0.4)
+        manager.close_all()
+        manager.close_all()
+        assert manager.entries() == []
 
 
 class TestTenantByteCapCli:
