@@ -171,15 +171,24 @@ class MetricsRegistry:
         """Track a live counters owner (anything with a ``counters`` attr).
 
         Idempotent per object: attaching the same owner twice counts once.
-        Sources are read at snapshot time, so restoring ``owner.counters``
-        from a checkpoint after attachment is safe.
+        An owner whose ``counters`` object is already tracked replaces the
+        old owner (a bank repair rebuilds its generator on the same
+        counters), so the counters are not summed twice and the retired
+        owner is not kept alive.  Sources are read at snapshot time, so
+        restoring ``owner.counters`` from a checkpoint after attachment is
+        safe.
         """
         if not hasattr(owner, "counters"):
             raise TypeError(
                 f"source {type(owner).__name__} has no 'counters' attribute"
             )
-        if not any(existing is owner for existing in self._sources):
-            self._sources.append(owner)
+        for i, existing in enumerate(self._sources):
+            if existing is owner:
+                return
+            if existing.counters is owner.counters:
+                self._sources[i] = owner
+                return
+        self._sources.append(owner)
 
     def generation_totals(self) -> Dict[str, int]:
         """Summed generator counters across every attached source."""

@@ -14,7 +14,9 @@ level:
 * **SUBSIM kernel** (``"subsim"``,
   :class:`~repro.rrsets.subsim.SubsimICGenerator`): nodes with uniform
   in-probability take vectorized geometric jumps (Algorithm 3, batched) —
-  the same draw-per-landing schedule as the sequential sampler — while
+  the same draw-per-landing schedule as the sequential sampler, with the
+  last few live entries of a level (hubs) finished by a scalar loop that
+  consumes exactly the draws the round loop would have — while
   skewed nodes run the *sorted-segment* kernel: their positional buckets
   (Section 3.3, precompiled once per graph by
   :func:`repro.sampling.precompute.sorted_segments`) take geometric skips at
@@ -26,7 +28,8 @@ level:
   alias lookup per level (:func:`repro.sampling.precompute.lt_alias_tables`),
   two draws per walk per level regardless of degree;
 * per-set visited state lives in a ``(B, ceil(n/64))`` ``uint64`` bitmap;
-  candidate activations are deduplicated and test-and-set in bulk;
+  candidate activations are deduplicated (one sort per level) and
+  test-and-set in bulk;
 * a boolean ``stop_mask`` (HIST's sentinel early stop, Algorithm 5) is
   honored *per set within the batch*: a set stops expanding at the end of
   the level in which it first activates a sentinel.
@@ -54,6 +57,7 @@ same-level nodes.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -66,6 +70,11 @@ from repro.sampling.precompute import (
 from repro.utils.exceptions import GraphFormatError
 
 _TINY = 2.2250738585072014e-308  # smallest positive normal double
+#: the geometric kernel hands its last live entries to the scalar tail once
+#: at most this many remain
+_TAIL_WIDTH = 16
+#: uniforms the scalar tail draws (and logs) at a time
+_TAIL_BLOCK = 64
 
 #: every kernel this engine implements
 BATCHED_MODES = ("ic", "subsim", "lt")
@@ -118,7 +127,10 @@ def _geometric_candidates(
 
     One entry per (set, activated node); every round draws one uniform per
     still-live entry and advances its position by the geometric gap, exactly
-    the sequential sampler's draw-per-landing schedule, but batched.
+    the sequential sampler's draw-per-landing schedule, but batched.  Once
+    at most :data:`_TAIL_WIDTH` entries are live (a few hubs outlasting
+    everything else), :func:`_geometric_tail` finishes them in a scalar
+    loop on the same draws.
     """
     cand_sets: List[np.ndarray] = []
     cand_nodes: List[np.ndarray] = []
@@ -130,7 +142,7 @@ def _geometric_candidates(
     owner_sets = sets
     # Round 0 jumps from just before the block; subsequent rounds jump from
     # the last landing.  A jump past the block end retires the entry.
-    while len(pos):
+    while len(pos) > _TAIL_WIDTH:
         counters.rng_draws += len(pos)
         u = rng.random(len(pos))
         np.maximum(u, _TINY, out=u)
@@ -138,7 +150,7 @@ def _geometric_candidates(
         pos = pos + np.floor(jump)
         live = jump < hi - (pos - np.floor(jump))  # jump fits in the block
         if not live.any():
-            break
+            return cand_sets, cand_nodes
         pos = pos[live]
         hi = hi[live]
         lg = lg[live]
@@ -148,7 +160,70 @@ def _geometric_candidates(
         cand_sets.append(owner_sets)
         cand_nodes.append(indices[landed].astype(np.int64))
         pos = pos + 1.0  # next jump starts after the landing
+    if len(pos):
+        tail_sets, tail_slots = _geometric_tail(
+            owner_sets, pos, hi, lg, rng, counters
+        )
+        cand_sets.append(tail_sets)
+        cand_nodes.append(indices[tail_slots].astype(np.int64))
     return cand_sets, cand_nodes
+
+
+def _geometric_tail(
+    sets: np.ndarray,
+    pos: np.ndarray,
+    hi: np.ndarray,
+    lg: np.ndarray,
+    rng: np.random.Generator,
+    counters,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Finish a few live geometric entries in a scalar loop, draw-exact.
+
+    Consumes uniforms in the round loop's order (round-major, entry order
+    within a round) from blocks of :data:`_TAIL_BLOCK` draws, each clamped
+    and logged in one vectorized pass, so every entry sees exactly the
+    draw the round loop would have given it.  The generator is then reset
+    to its state before the first block and advanced by exactly the
+    consumed count, which works for any BitGenerator.  Returns the landing
+    ``(set, edge slot)`` pairs; their order differs from the round loop's,
+    which the level dedup (a sort) makes irrelevant.
+    """
+    start_state = rng.bit_generator.state
+    e_sets = sets.tolist()
+    e_pos = pos.astype(np.int64).tolist()
+    e_hi = hi.astype(np.int64).tolist()
+    e_lg = lg.tolist()
+    out_sets: List[int] = []
+    out_slots: List[int] = []
+    live = list(range(len(e_pos)))
+    logs: List[float] = []
+    used = 0
+    while live:
+        survivors: List[int] = []
+        for e in live:
+            if used == len(logs):
+                u = rng.random(_TAIL_BLOCK)
+                np.maximum(u, _TINY, out=u)
+                logs.extend(np.log(u).tolist())
+            jump = logs[used] / e_lg[e]
+            used += 1
+            # Positions are exact integers well below 2**53, so this is the
+            # round loop's "jump fits in the block" test.
+            if jump < e_hi[e] - e_pos[e]:
+                landed = e_pos[e] + math.floor(jump)
+                out_sets.append(e_sets[e])
+                out_slots.append(landed)
+                e_pos[e] = landed + 1
+                survivors.append(e)
+        live = survivors
+    rng.bit_generator.state = start_state
+    rng.random(used)
+    counters.rng_draws += used
+    counters.edges_examined += len(out_slots)
+    return (
+        np.asarray(out_sets, dtype=np.int64),
+        np.asarray(out_slots, dtype=np.int64),
+    )
 
 
 def _sorted_segment_candidates(
@@ -235,6 +310,21 @@ def _sorted_segment_candidates(
     return cand_sets, cand_nodes
 
 
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` for a flat integer array, by sort and mask.
+
+    The same sorted distinct values as ``np.unique``, whose hash-based path
+    costs ten times a plain sort or more on the level keys.
+    """
+    out = np.sort(values)
+    if len(out) > 1:
+        keep = np.empty(len(out), dtype=bool)
+        keep[0] = True
+        np.not_equal(out[1:], out[:-1], out=keep[1:])
+        out = out[keep]
+    return out
+
+
 def _resolve_mode(gen) -> str:
     """Validate the generator's batched mode against the known kernels."""
     mode = gen.batched_mode
@@ -298,7 +388,11 @@ def _finalize_batch(
     all_nodes = np.concatenate(chunk_nodes)
     # Stable sort groups entries per set while keeping discovery order, so
     # each set starts with its root exactly like the sequential generators.
-    order = np.argsort(all_sets, kind="stable")
+    # Set ids fit the narrowest unsigned type holding ``count``, on which
+    # the stable sort is a radix sort with the same permutation.
+    order = np.argsort(
+        all_sets.astype(np.min_scalar_type(count)), kind="stable"
+    )
     nodes = all_nodes[order]
     sizes = np.bincount(all_sets, minlength=count).astype(np.int64)
 
@@ -411,7 +505,7 @@ def _generate_ic_batch(
 
         # Dedup within the level, then test-and-set against the bitmaps.
         key = cand_sets * np.int64(n) + cand_nodes
-        key = np.unique(key)
+        key = _sorted_distinct(key)
         u_sets = key // n
         u_nodes = key - u_sets * n
         word = u_nodes >> 6
@@ -429,7 +523,7 @@ def _generate_ic_batch(
         if stop_mask is not None:
             sentinel = stop_mask[u_nodes]
             if sentinel.any():
-                stopped = np.unique(u_sets[sentinel])
+                stopped = u_sets[sentinel]
                 hit[stopped] = True
                 alive[stopped] = False
                 keep = alive[u_sets]

@@ -344,6 +344,39 @@ class TestDynamicDeltas:
         result = session.maximize(8, eps=0.4)
         assert len(result.seeds) == 8
 
+    def test_deltas_keep_one_counter_source_per_bank(self):
+        import gc
+        import weakref
+
+        from repro.graphs.dynamic import GraphDelta
+        from repro.observability.registry import GENERATION_COUNTER_FIELDS
+
+        session = QuerySession(self._graph(), "subsim", seed=11)
+        session.maximize(8, eps=0.4)
+        banks = session.provider.persistent_banks()
+        retired = [weakref.ref(bank.generator) for bank in banks.values()]
+        src, dst, _ = session.graph.edges()
+        for i in range(5):
+            session.apply_delta(
+                GraphDelta(deletes=[(int(src[i]), int(dst[i]))])
+            )
+            session.maximize(8, eps=0.4)
+        # a repair rebuilds each bank's generator on the same counters;
+        # the rebuilt one replaces the old as the registry's source
+        sources = session.metrics._sources
+        assert len(sources) == len(banks)
+        assert {id(s) for s in sources} == {
+            id(bank.generator) for bank in banks.values()
+        }
+        totals = session.metrics.generation_totals()
+        for field in GENERATION_COUNTER_FIELDS:
+            assert totals[field] == sum(
+                getattr(bank.generator.counters, field)
+                for bank in banks.values()
+            )
+        gc.collect()
+        assert all(ref() is None for ref in retired)
+
     def test_delta_is_deterministic_across_identical_sessions(self):
         from repro.graphs.dynamic import GraphDelta
 
