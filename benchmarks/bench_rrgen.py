@@ -16,6 +16,11 @@ the general-weight fast-path comparison — batched bucket-skipping SUBSIM
 on skewed weights plus the batched LT kernel — and writes
 ``BENCH_generalw.json``.
 
+Each arm (sequential, batched) is timed ``REPEATS`` (3) times, the two
+arms alternating, and every row reports the median wall time with
+all timings beside it in ``wall_seconds_all``: one timing per arm moved
+the headline ratio by 1.7x between two runs on the same host.
+
 ``--quick`` shrinks the graph and sample count so the whole run finishes
 in seconds; quick results carry ``"quick": true`` and are written to
 ``*_quick.json`` files so a smoke run never overwrites the committed
@@ -27,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -59,6 +65,9 @@ GENERATORS = {
 }
 
 WEIGHT_SCHEMES = ("wc", "skewed", "uniform")
+
+#: timings per arm; the reported figure is their median
+REPEATS = 3
 
 
 def build_graph(n: int, degree: int, weights: str = "wc",
@@ -103,6 +112,42 @@ def _measure(graph, cls, count, seed, batch_size=1):
     }
 
 
+def _median_row(rows):
+    """One row for repeated timings of the same arm: the median wall time,
+    every timing, and the (seeded, hence identical) counters."""
+    first = rows[0]
+    for row in rows[1:]:
+        if row["edges_examined"] != first["edges_examined"]:
+            raise RuntimeError(
+                f"{first['mode']}: repeats of one seeded arm examined "
+                f"{first['edges_examined']} and {row['edges_examined']} edges"
+            )
+    timings = [row["wall_seconds"] for row in rows]
+    wall = statistics.median(timings)
+    return dict(
+        first,
+        wall_seconds=round(wall, 6),
+        wall_seconds_all=timings,
+        edges_per_second=round(first["edges_examined"] / max(wall, 1e-9)),
+    )
+
+
+def _compare_arms(graph, cls, count, seed, batch_size):
+    """Time the sequential and batched arms ``REPEATS`` times each,
+    alternating, so a host slowdown lands on both arms alike."""
+    sequential, batched = [], []
+    for _ in range(REPEATS):
+        sequential.append(_measure(graph, cls, count, seed))
+        batched.append(_measure(graph, cls, count, seed, batch_size=batch_size))
+    rows = [_median_row(sequential), _median_row(batched)]
+    return {
+        "runs": rows,
+        "batched_speedup": round(
+            rows[0]["wall_seconds"] / max(rows[1]["wall_seconds"], 1e-9), 2
+        ),
+    }
+
+
 def run_benchmark(
     n: int = 10_000,
     degree: int = 10,
@@ -129,19 +174,13 @@ def run_benchmark(
         },
         "count": count,
         "seed": seed,
+        "repeats": REPEATS,
         "generators": {},
     }
     for name, cls in generators.items():
-        sequential = _measure(graph, cls, count, seed)
-        batched = _measure(graph, cls, count, seed, batch_size=batch_size)
-        rows = [sequential, batched]
-        report["generators"][name] = {
-            "runs": rows,
-            "batched_speedup": round(
-                sequential["wall_seconds"] / max(batched["wall_seconds"], 1e-9),
-                2,
-            ),
-        }
+        report["generators"][name] = _compare_arms(
+            graph, cls, count, seed, batch_size
+        )
     return report
 
 
@@ -199,24 +238,18 @@ def run_generalw_benchmark(
         "cpus": os.cpu_count(),
         "count": count,
         "seed": seed,
+        "repeats": REPEATS,
         "workloads": {},
     }
     for name, (graph, cls, preprocess) in workloads.items():
         t0 = time.perf_counter()
         preprocess(graph)
         preprocess_seconds = time.perf_counter() - t0
-        sequential = _measure(graph, cls, count, seed)
-        batched = _measure(graph, cls, count, seed, batch_size=batch_size)
-        rows = [sequential, batched]
         report["workloads"][name] = {
             "graph": {"n": graph.n, "m": graph.m,
                       "weight_model": graph.weight_model},
             "preprocess_seconds": round(preprocess_seconds, 6),
-            "runs": rows,
-            "batched_speedup": round(
-                sequential["wall_seconds"] / max(batched["wall_seconds"], 1e-9),
-                2,
-            ),
+            **_compare_arms(graph, cls, count, seed, batch_size),
         }
     return report
 

@@ -112,6 +112,13 @@ class BankProvider:
     def end_query(self) -> None:
         for bank in self._active:
             bank.end_query()
+        if self._shared_rng is None and self._run_metrics is not None:
+            # Per-query banks die here: fold their generators' spend into
+            # the registry's own counters rather than keep the generators
+            # attached for the session's lifetime.
+            for bank in self._active:
+                if not bank.reusable:
+                    self._run_metrics.detach_source(bank.generator)
         self._active = []
         self._control = None
         self._run_metrics = None

@@ -190,6 +190,22 @@ class MetricsRegistry:
                 return
         self._sources.append(owner)
 
+    def detach_source(self, owner: Any) -> None:
+        """Stop tracking ``owner``, folding its counters into own counters.
+
+        The ``generation.*`` totals are unchanged by the move, so an owner
+        that outlives its use (a per-query generator inside a long-lived
+        session) can be released without its spend vanishing from
+        snapshots.  Detaching an untracked owner is a no-op.
+        """
+        for i, existing in enumerate(self._sources):
+            if existing is owner:
+                del self._sources[i]
+                counters = owner.counters
+                for field in GENERATION_COUNTER_FIELDS:
+                    self.inc(f"generation.{field}", getattr(counters, field))
+                return
+
     def generation_totals(self) -> Dict[str, int]:
         """Summed generator counters across every attached source."""
         totals = dict.fromkeys(GENERATION_COUNTER_FIELDS, 0)

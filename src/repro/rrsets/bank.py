@@ -32,7 +32,6 @@ so the next query regenerates the identical prefix from scratch.
 
 from __future__ import annotations
 
-import sys
 import zlib
 from typing import Any, Dict, Iterable, Optional, Tuple, Union
 
@@ -41,6 +40,7 @@ import numpy as np
 from repro.graphs.csr import CSRGraph
 from repro.rrsets.base import GenerationCounters, RRGenerator
 from repro.rrsets.collection import RRCollection, RRPrefixView
+from repro.rrsets.journal import BIT_GENERATOR, UnitJournal
 from repro.runtime.checkpoint import counters_from_dict, counters_to_dict
 from repro.utils.exceptions import (
     CheckpointError,
@@ -60,32 +60,14 @@ def _zero_mark() -> Dict[str, int]:
     return counters_to_dict(GenerationCounters())
 
 
-def _approx_nbytes(obj: Any) -> int:
-    """Deep ``sys.getsizeof`` for the plain-data journal entries.
-
-    Journal entries are small nested dicts of ints/strings (one RNG
-    bit-generator state each); a recursive shallow-size sum is an honest
-    resident-byte estimate for them — no cycles, no shared substructure
-    worth deduplicating.
-    """
-    size = sys.getsizeof(obj)
-    if isinstance(obj, dict):
-        size += sum(
-            _approx_nbytes(k) + _approx_nbytes(v) for k, v in obj.items()
-        )
-    elif isinstance(obj, (list, tuple)):
-        size += sum(_approx_nbytes(item) for item in obj)
-    return size
-
-
 def replay_units(
-    journal: list,
+    journal: UnitJournal,
     dirty_ids: np.ndarray,
     repair_gen: RRGenerator,
 ) -> Tuple[list, list, list, list]:
     """Regenerate every journaled unit containing a dirty set.
 
-    Each journal entry records the RNG bit-generator state captured before
+    Each journal row records the RNG bit-generator state captured before
     one generation unit (a single sequential ``generate`` call or one
     ``generate_batch`` chunk — see :meth:`RRCollection.extend`).  Replaying
     a dirty unit's *original* state on the mutated graph is the exact
@@ -103,52 +85,39 @@ def replay_units(
     to resample those.
     """
     dirty_ids = np.asarray(dirty_ids, dtype=np.int64)
+    # Column views: locating the dirty units costs no per-row Python work,
+    # and a state dict is built only for each unit actually replayed.
+    starts = journal.starts
+    unit_of = np.searchsorted(starts, dirty_ids, side="right") - 1
+    covered = unit_of >= 0
     if len(journal):
-        starts = np.array([e["start"] for e in journal], dtype=np.int64)
-        counts = np.array([e["count"] for e in journal], dtype=np.int64)
-        replayable = np.array(
-            [
-                e["count"] == e["requested"] and e.get("state") is not None
-                for e in journal
-            ],
-            dtype=bool,
-        )
-        unit_of = np.searchsorted(starts, dirty_ids, side="right") - 1
-        covered = (unit_of >= 0) & (
-            dirty_ids < starts[unit_of] + counts[unit_of]
-        ) & replayable[unit_of]
-    else:
-        unit_of = np.full(len(dirty_ids), -1, dtype=np.int64)
-        covered = np.zeros(len(dirty_ids), dtype=bool)
+        owner = np.maximum(unit_of, 0)
+        covered &= (
+            dirty_ids < starts[owner] + journal.counts[owner]
+        ) & journal.replayable[owner]
     uncovered = [int(i) for i in dirty_ids[~covered]]
     ids: list = []
     chunks: list = []
     sizes: list = []
-    # One Generator per bit-generator class, re-stated per unit:
-    # construction dominates replay overhead for single-set units.
-    rng_pool: Dict[str, np.random.Generator] = {}
-    for unit in np.unique(unit_of[covered]):
-        entry = journal[int(unit)]
-        state = entry["state"]
-        rng = rng_pool.get(state["bit_generator"])
-        if rng is None:
-            bitgen_cls = getattr(np.random, state["bit_generator"])
-            rng = np.random.Generator(bitgen_cls())
-            rng_pool[state["bit_generator"]] = rng
+    # One Generator, re-stated per unit: construction dominates replay
+    # overhead for single-set units.
+    rng = np.random.Generator(np.random.PCG64(0))
+    for unit in np.unique(unit_of[covered]).tolist():
+        start, count, _, batch, state = journal.unit(unit)
         rng.bit_generator.state = state
-        if entry["mode"] == "seq":
+        if not batch:
             rr = np.asarray(repair_gen.generate(rng), dtype=np.int64)
-            ids.append(int(entry["start"]))
+            ids.append(start)
             chunks.append(rr)
             sizes.append(len(rr))
         else:
-            nodes, unit_sizes = repair_gen.generate_batch(rng, entry["count"])
-            if len(unit_sizes) != entry["count"]:
+            nodes, unit_sizes = repair_gen.generate_batch(rng, count)
+            if len(unit_sizes) != count:
                 raise ConfigurationError(
-                    f"repair replay of unit at {entry['start']} delivered "
-                    f"{len(unit_sizes)} sets, expected {entry['count']}"
+                    f"repair replay of unit at {start} delivered "
+                    f"{len(unit_sizes)} sets, expected {count}"
                 )
-            ids.extend(range(entry["start"], entry["start"] + entry["count"]))
+            ids.extend(range(start, start + count))
             chunks.append(np.asarray(nodes, dtype=np.int64))
             sizes.extend(int(s) for s in unit_sizes)
     return ids, chunks, sizes, uncovered
@@ -174,6 +143,12 @@ class RRBank:
                 "a reusable bank cannot carry a stop mask: masked RR sets "
                 "are query-specific and must not be served to other queries"
             )
+        if reusable and type(rng.bit_generator).__name__ != BIT_GENERATOR:
+            raise ConfigurationError(
+                f"a reusable bank draws from a {BIT_GENERATOR} session "
+                f"stream, got {type(rng.bit_generator).__name__}: its unit "
+                "journal records PCG64 states only"
+            )
         self.graph = graph
         self.generator = generator
         self.rng = rng
@@ -188,10 +163,7 @@ class RRBank:
         self._repair_epoch = 0
         #: per-unit RNG states captured during generation (reusable banks
         #: only) — the seed specs :meth:`repair` replays.
-        self._journal: list = []
-        #: cached per-entry size estimate for :meth:`nbytes` (entries are
-        #: homogeneous; one deep measurement amortizes over the journal)
-        self._journal_entry_nbytes: Optional[int] = None
+        self._journal = UnitJournal()
         self.pool = RRCollection(graph.n)
         # The stream origin: eviction rewinds here so the regenerated
         # prefix is identical to the evicted one.
@@ -271,16 +243,9 @@ class RRBank:
                 self._dirty = True
                 raise
             self.pool.add(rr)
-            if self.reusable:
-                self._journal.append({
-                    "start": index,
-                    "count": 1,
-                    "requested": 1,
-                    "mode": "seq",
-                    "state": state,
-                })
             generated = 1
             if self.reusable:
+                self._journal.append(index, 1, 1, False, state)
                 self._marks[self.pool.num_rr] = counters_to_dict(
                     self.generator.counters
                 )
@@ -353,12 +318,8 @@ class RRBank:
         return self.counters_at(self._used)
 
     def journal_nbytes(self) -> int:
-        """Approximate resident bytes of the per-unit RNG journal."""
-        if not self._journal:
-            return 0
-        if self._journal_entry_nbytes is None:
-            self._journal_entry_nbytes = _approx_nbytes(self._journal[0])
-        return len(self._journal) * self._journal_entry_nbytes
+        """Resident bytes of the per-unit RNG journal (exact)."""
+        return self._journal.nbytes()
 
     def nbytes(self) -> int:
         """Resident bytes the bank pins: pool buffers plus the repair
@@ -521,8 +482,7 @@ class RRBank:
         self.generator.counters = GenerationCounters()
         self.generator._reported_edges = 0
         self.rng.bit_generator.state = self._rng_state0
-        self._journal = []
-        self._journal_entry_nbytes = None
+        self._journal = UnitJournal()
         self._marks = {0: _zero_mark()}
         self._used = 0
         self._query_base = 0
@@ -578,7 +538,7 @@ class RRBank:
             "rng_state": self.rng.bit_generator.state,
             "rng_state0": self._rng_state0,
             "repair_epoch": int(self._repair_epoch),
-            "journal": list(self._journal),
+            "journal": self._journal.to_entries(),
         }
 
     def restore_state(
@@ -597,6 +557,12 @@ class RRBank:
                 f"bank {self.role!r}: pool holds {pool.num_rr} sets but the "
                 f"metadata recorded {payload.get('num_rr')}"
             )
+        try:
+            journal = UnitJournal.from_entries(payload.get("journal", []))
+        except (ConfigurationError, KeyError, TypeError) as exc:
+            raise CheckpointError(
+                f"bank {self.role!r}: unreadable unit journal ({exc})"
+            ) from exc
         self.pool = pool
         self.generator.counters = counters_from_dict(payload["counters"])
         self.generator._reported_edges = self.generator.counters.edges_examined
@@ -607,8 +573,7 @@ class RRBank:
         self._rng_state0 = payload["rng_state0"]
         self.rng.bit_generator.state = payload["rng_state"]
         self._repair_epoch = int(payload.get("repair_epoch", 0))
-        self._journal = list(payload.get("journal", []))
-        self._journal_entry_nbytes = None
+        self._journal = journal
         # Older snapshots may carry a "sketch" entry (coverage-sketch
         # registers, derived data of a removed tier): ignored.
         self._dirty = False

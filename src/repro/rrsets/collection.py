@@ -18,15 +18,22 @@ the ascending ids of the sets holding node ``v``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
 from repro.rrsets.base import RRGenerator
 
+if TYPE_CHECKING:
+    from repro.rrsets.journal import UnitJournal
+
 #: dtype of the flat node pool; int32 halves memory vs. int64 and covers
 #: every graph this library can hold in RAM.
 NODE_DTYPE = np.int32
+
+#: the first pool size (in stored node entries) whose inverted-index
+#: offsets no longer fit int32; the index widens them to int64 from here on
+WIDE_ENTRIES = 1 << 31
 
 
 def _pow2_capacity(need: int, floor: int) -> int:
@@ -193,8 +200,10 @@ class RRCollection:
         self._nodes = np.empty(1024, dtype=NODE_DTYPE)
         self._indptr = np.zeros(257, dtype=np.int64)
         # Incrementally maintained per-node membership counts (the cached
-        # ``coverage_counts``); always current.
-        self._counts = np.zeros(n, dtype=np.int64)
+        # ``coverage_counts``); always current.  int32: a node appears at
+        # most once per set, so its count never exceeds the set count,
+        # which NODE_DTYPE set ids already bound.
+        self._counts = np.zeros(n, dtype=np.int32)
         # Lazily (re)built inverted CSR; ``_inv_num_rr`` records the pool
         # size it reflects, so any append invalidates it implicitly.
         self._inv_indptr: Optional[np.ndarray] = None
@@ -245,6 +254,14 @@ class RRCollection:
     # ------------------------------------------------------------------
     # growth
     # ------------------------------------------------------------------
+    def _count(self, nodes: np.ndarray, step: int) -> None:
+        """Add ``step`` to the coverage count of each of ``nodes``.
+
+        The step goes in as an int32 scalar: ``np.add.at`` on int32 with a
+        Python int leaves NumPy's fast path and runs ~28x slower.
+        """
+        np.add.at(self._counts, nodes, np.int32(step))
+
     def _reserve(self, extra_nodes: int, extra_sets: int) -> None:
         need = self.total_size + extra_nodes
         if need > len(self._nodes):
@@ -303,7 +320,7 @@ class RRCollection:
         self._num_rr = first_id + count
         self.total_size = start + len(nodes)
         # Nodes may repeat across (not within) sets: unbuffered add.
-        np.add.at(self._counts, nodes, 1)
+        self._count(nodes, 1)
         return first_id
 
     def extend(
@@ -312,7 +329,7 @@ class RRCollection:
         generator: RRGenerator,
         rng: np.random.Generator,
         stop_mask: Optional[np.ndarray] = None,
-        journal: Optional[List[Dict]] = None,
+        journal: Optional["UnitJournal"] = None,
     ) -> None:
         """Generate and store ``count`` fresh random RR sets.
 
@@ -321,13 +338,14 @@ class RRCollection:
         bit-identically; ``batch_size > 1`` routes through the vectorized
         batched engine.
 
-        ``journal``, when given, receives one appended entry per generation
+        ``journal``, when given, receives one appended row per generation
         *unit* (a single ``generate`` call, or one ``generate_batch``
-        chunk): ``{"start", "count", "requested", "mode", "state"}`` with
-        ``state`` the RNG bit-generator state captured *before* the unit's
-        draws.  Replaying a unit from its recorded state reproduces it
-        bit-identically, which is what lets :meth:`~repro.rrsets.bank.
-        RRBank.repair` resample exactly the sets a graph delta invalidated.
+        chunk): its first set id, delivered and requested set counts, mode,
+        and the RNG bit-generator state captured *before* the unit's draws
+        (see :class:`~repro.rrsets.journal.UnitJournal`).  Replaying a unit
+        from its recorded state reproduces it bit-identically, which is
+        what lets :meth:`~repro.rrsets.bank.RRBank.repair` resample exactly
+        the sets a graph delta invalidated.
         """
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
@@ -346,13 +364,7 @@ class RRCollection:
                     )
                     self.add_batch(nodes, sizes)
                     if journal is not None:
-                        journal.append({
-                            "start": start,
-                            "count": int(len(sizes)),
-                            "requested": int(b),
-                            "mode": "batch",
-                            "state": state,
-                        })
+                        journal.append(start, len(sizes), b, True, state)
                     remaining -= len(sizes)
                 return
             for _ in range(count):
@@ -362,13 +374,7 @@ class RRCollection:
                 )
                 self.add(generator.generate(rng, stop_mask=stop_mask))
                 if journal is not None:
-                    journal.append({
-                        "start": start,
-                        "count": 1,
-                        "requested": 1,
-                        "mode": "seq",
-                        "state": state,
-                    })
+                    journal.append(start, 1, 1, False, state)
         finally:
             metrics = getattr(generator, "metrics", None)
             if metrics is not None:
@@ -384,8 +390,17 @@ class RRCollection:
         if self._inv_num_rr != self._num_rr:
             size = self.total_size
             nodes = self._nodes[:size]
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
+            indptr = np.zeros(
+                self.n + 1,
+                dtype=np.int64 if size >= WIDE_ENTRIES else np.int32,
+            )
             np.cumsum(self._counts, out=indptr[1:])
+            # Sort on the narrowest key that holds every node id: below
+            # 2**16 nodes numpy's stable sort is a radix sort, with the
+            # same permutation as sorting the int32 ids.
+            key = np.min_scalar_type(self.n - 1)
+            if key.itemsize < nodes.itemsize:
+                nodes = nodes.astype(key)
             order = np.argsort(nodes, kind="stable")
             rr_of_entry = np.repeat(
                 np.arange(self._num_rr, dtype=NODE_DTYPE), self.set_sizes()
@@ -470,8 +485,8 @@ class RRCollection:
             _pow2_capacity(new_total, 1024), dtype=NODE_DTYPE
         )
         # Coverage deltas: remove the replaced sets' old mass, add the new.
-        np.add.at(self._counts, self.nodes_of_sets(rr_ids), -1)
-        np.add.at(self._counts, nodes, 1)
+        self._count(self.nodes_of_sets(rr_ids), -1)
+        self._count(nodes, 1)
 
         def _scatter(ids, src_nodes, src_indptr_starts, src_sizes):
             lens = src_sizes
@@ -557,9 +572,10 @@ class RRCollection:
         """Per-node count of RR sets containing the node (singleton coverage).
 
         Served from the incrementally maintained cache; the returned array
-        is a copy the caller may mutate (greedy uses it as its gain vector).
+        is an int64 copy the caller may mutate (greedy uses it as its gain
+        vector).
         """
-        return self._counts.copy()
+        return self._counts.astype(np.int64)
 
     def covered_mask(self, seeds: Iterable[int]) -> np.ndarray:
         """Boolean mask over RR-set ids marking sets hit by ``seeds``."""

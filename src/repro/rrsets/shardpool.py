@@ -49,6 +49,7 @@ import numpy as np
 from repro.graphs.csr import CSRGraph
 from repro.graphs.shared import unlink_shared
 from repro.rrsets.collection import RRCollection
+from repro.rrsets.journal import UnitJournal
 from repro.utils.exceptions import ReproError
 
 
@@ -67,9 +68,9 @@ _LINK_ERRORS = (EOFError, BrokenPipeError, ConnectionResetError, OSError)
 class _RoleState:
     """One role's resident shard inside a worker: pool + generator.
 
-    ``journal`` records the RNG state of every generation unit (see
-    :meth:`RRCollection.extend`); ``repair`` replays it so a graph delta
-    resamples exactly the invalidated sets.
+    ``journal`` records the RNG state of every generation unit (a
+    :class:`~repro.rrsets.journal.UnitJournal`); ``repair`` replays it so
+    a graph delta resamples exactly the invalidated sets.
     """
 
     __slots__ = ("pool", "generator", "journal")
@@ -77,7 +78,7 @@ class _RoleState:
     def __init__(self, pool: RRCollection, generator) -> None:
         self.pool = pool
         self.generator = generator
-        self.journal: list = []
+        self.journal = UnitJournal()
 
 
 class _Selection:
@@ -165,7 +166,7 @@ class _ShardWorker:
         batch = max(1, int(payload.get("batch_size", 1)))
         node_chunks: List[np.ndarray] = []
         sizes_chunks: List[np.ndarray] = []
-        entries: List[dict] = []
+        units: List[Tuple[int, int, int, dict]] = []
         base = state.pool.num_rr
         produced = 0
         remaining = count
@@ -176,13 +177,7 @@ class _ShardWorker:
             nodes, sizes = gen.generate_batch(rng, b, stop_mask=stop_mask)
             node_chunks.append(nodes)
             sizes_chunks.append(sizes)
-            entries.append({
-                "start": base + produced,
-                "count": int(len(sizes)),
-                "requested": int(b),
-                "mode": "batch",
-                "state": rng_state,
-            })
+            units.append((base + produced, len(sizes), b, rng_state))
             produced += len(sizes)
             remaining -= len(sizes)
             if self.crash_next and count - remaining >= midpoint:
@@ -197,7 +192,10 @@ class _ShardWorker:
             state.pool.add_batch(
                 np.concatenate(node_chunks), np.concatenate(sizes_chunks)
             )
-            state.journal.extend(entries)
+            for start, delivered, requested, rng_state in units:
+                state.journal.append(
+                    start, delivered, requested, True, rng_state
+                )
         sizes = (
             np.concatenate(sizes_chunks)
             if sizes_chunks
@@ -228,7 +226,7 @@ class _ShardWorker:
         state = self.roles.get(payload["role"])
         if state is not None:
             state.pool = RRCollection(self.graph.n)
-            state.journal = []
+            state.journal = UnitJournal()
         return {"num_rr": 0}
 
     def _cmd_apply_delta(self, payload):

@@ -5,6 +5,7 @@ import pytest
 
 from repro.rrsets.bank import RRBank
 from repro.rrsets.collection import RRCollection, RRPrefixView
+from repro.rrsets.journal import UnitJournal
 from repro.rrsets.vanilla import VanillaICGenerator
 from repro.runtime.checkpoint import counters_to_dict
 from repro.utils.exceptions import CheckpointError, ConfigurationError
@@ -523,7 +524,8 @@ class TestRepair:
         from repro.graphs.dynamic import GraphDelta
 
         graph, bank = self._fresh()
-        bank._journal.clear()  # simulate an adopted / pre-journal pool
+        # simulate an adopted / pre-journal pool
+        bank._journal = UnitJournal()
         edge = self._covered_in_edge(graph, bank)
         touched = graph.apply_delta(GraphDelta(deletes=[edge]))
         stats = bank.repair(touched)
@@ -544,7 +546,7 @@ class TestRepair:
             reusable=True,
         )
         bank.ensure(120)
-        bank._journal.clear()
+        bank._journal = UnitJournal()
         edge = self._covered_in_edge(graph, bank)
         touched = graph.apply_delta(GraphDelta(deletes=[edge]))
         with pytest.raises(ConfigurationError, match="entropy"):
@@ -555,12 +557,12 @@ class TestRepair:
 
         graph_a, bank_a = self._fresh()
         payload = bank_a.state_dict()
-        assert payload["journal"] == bank_a._journal
+        assert payload["journal"] == bank_a._journal.to_entries()
 
         graph_b, bank_b = self._fresh()
-        bank_b._journal.clear()  # restore must bring the journal back
+        bank_b._journal = UnitJournal()  # restore must bring the journal back
         bank_b.restore_state(payload, bank_b.pool)
-        assert bank_b._journal == bank_a._journal
+        assert bank_b._journal.to_entries() == bank_a._journal.to_entries()
         edge = self._covered_in_edge(graph_a, bank_a)
         for graph, bank in ((graph_a, bank_a), (graph_b, bank_b)):
             touched = graph.apply_delta(GraphDelta(deletes=[edge]))
@@ -574,7 +576,7 @@ class TestRepair:
         graph, bank = self._fresh()
         assert bank._journal
         bank.evict()
-        assert bank._journal == []
+        assert len(bank._journal) == 0
         bank.ensure(40)
         assert len(bank._journal) == 40
 
@@ -645,7 +647,7 @@ class TestEvictionRepairInterplay:
         )
         edge = self._covered_edge(graph, bank.pool)
         for b in banks.values():
-            b._journal.clear()  # simulate adopted / pre-journal pools
+            b._journal = UnitJournal()  # simulate adopted / pre-journal pools
 
         info = session.apply_delta(GraphDelta(deletes=[edge]))
         dirty = sum(s["num_dirty"] for s in info["banks"].values())
@@ -683,7 +685,7 @@ class TestEvictionRepairInterplay:
         capped.maximize(5, eps=0.4)  # eviction runs after the query
         banks = capped.provider.persistent_banks()
         for bank in banks.values():
-            assert bank.pool.num_rr == 0 and bank._journal == []
+            assert bank.pool.num_rr == 0 and len(bank._journal) == 0
 
         edge = (int(graph.in_indices[graph.in_indptr[1]]), 1)
         info = capped.apply_delta(GraphDelta(deletes=[edge]))

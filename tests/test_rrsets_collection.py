@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.rrsets.collection import RRCollection
+from repro.rrsets.journal import UnitJournal
 from repro.rrsets.vanilla import VanillaICGenerator
 
 
@@ -183,15 +184,16 @@ class TestDirtySetOps:
 class TestJournal:
     def test_sequential_units_replay_bit_identically(self, wc_graph):
         gen = VanillaICGenerator(wc_graph)
-        journal = []
+        journal = UnitJournal()
         c = RRCollection(wc_graph.n)
         c.extend(20, gen, np.random.default_rng(9), journal=journal)
-        assert [e["start"] for e in journal] == list(range(20))
+        entries = journal.to_entries()
+        assert [e["start"] for e in entries] == list(range(20))
         assert all(
             e["count"] == e["requested"] == 1 and e["mode"] == "seq"
-            for e in journal
+            for e in entries
         )
-        for entry in journal:
+        for entry in entries:
             rng = np.random.default_rng(0)
             rng.bit_generator.state = entry["state"]
             replayed = gen.generate(rng)
@@ -205,12 +207,13 @@ class TestJournal:
 
         gen = SubsimICGenerator(wc_graph)
         gen.batch_size = 16
-        journal = []
+        journal = UnitJournal()
         c = RRCollection(wc_graph.n)
         c.extend(50, gen, np.random.default_rng(9), journal=journal)
-        assert journal and all(e["mode"] == "batch" for e in journal)
-        assert sum(e["count"] for e in journal) == 50
-        entry = journal[0]
+        entries = journal.to_entries()
+        assert entries and all(e["mode"] == "batch" for e in entries)
+        assert sum(e["count"] for e in entries) == 50
+        entry = entries[0]
         rng = np.random.default_rng(0)
         rng.bit_generator.state = entry["state"]
         nodes, sizes = gen.generate_batch(rng, entry["count"])
