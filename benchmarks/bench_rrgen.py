@@ -19,7 +19,9 @@ on skewed weights plus the batched LT kernel — and writes
 Each arm (sequential, batched) is timed ``REPEATS`` (3) times, the two
 arms alternating, and every row reports the median wall time with
 all timings beside it in ``wall_seconds_all``: one timing per arm moved
-the headline ratio by 1.7x between two runs on the same host.
+the headline ratio by 1.7x between two runs on the same host.  Each row
+also gives the median as ``us_per_set``, so a change in the headline
+ratio can be read as a change in one arm or the other.
 
 ``--quick`` shrinks the graph and sample count so the whole run finishes
 in seconds; quick results carry ``"quick": true`` and are written to
@@ -104,12 +106,19 @@ def _measure(graph, cls, count, seed, batch_size=1):
         "batch_size": batch_size,
         "rr_sets": int(pool.num_rr),
         "wall_seconds": round(elapsed, 6),
+        "us_per_set": _us_per_set(elapsed, pool.num_rr),
         "edges_examined": int(counters.edges_examined),
         "rng_draws": int(counters.rng_draws),
         "edges_per_second": round(counters.edges_examined / max(elapsed, 1e-9)),
         "avg_rr_size": round(float(pool.set_sizes().mean()), 3),
         "pool_bytes": int(pool.nbytes()),
     }
+
+
+def _us_per_set(seconds: float, sets: int) -> float:
+    """Wall time per generated set in microseconds: the arm's constant,
+    which the batched speedup divides."""
+    return round(seconds / max(sets, 1) * 1e6, 2)
 
 
 def _median_row(rows):
@@ -128,6 +137,7 @@ def _median_row(rows):
         first,
         wall_seconds=round(wall, 6),
         wall_seconds_all=timings,
+        us_per_set=_us_per_set(wall, first["rr_sets"]),
         edges_per_second=round(first["edges_examined"] / max(wall, 1e-9)),
     )
 
@@ -308,6 +318,7 @@ def main(argv=None) -> int:
         for row in entry["runs"]:
             print(
                 f"  {row['mode']:24s} {row['wall_seconds']:.3f}s  "
+                f"{row['us_per_set']:>9.2f} us/set  "
                 f"{row['edges_per_second']:>12,} edges/s  "
                 f"pool {row['pool_bytes'] / 1e6:.1f} MB"
             )

@@ -388,6 +388,12 @@ class RRBank:
         fresh.metrics = old.metrics
         fresh._reported_edges = old._reported_edges
         self.generator = fresh
+        if fresh.metrics is not None:
+            # Swap the counters source now rather than at the next query:
+            # a tenant that is not queried again would otherwise keep the
+            # retired generator, and the pre-delta graph arrays it reads
+            # through memoryviews, alive until it is.
+            fresh.metrics.attach_source(fresh)
 
         num_resampled = 0
         num_fallback = 0

@@ -3,11 +3,72 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 from typing import List, Optional
 
 import numpy as np
 
 from repro.graphs.csr import CSRGraph
+
+
+#: uniforms per block of :class:`UniformStream`.  Swept over 8-128 on a
+#: 2-CPU host: the per-set SUBSIM loop on the e2e ``wc`` graph (the served
+#: and repair path) was fastest at 32, 17.2 us a set against 17.9 at 64
+#: and 19.5 at 8; smaller blocks pay the ``rng.random(n)`` call more
+#: often, larger ones draw more that each set's rewind throws away.  The
+#: vanilla loop, one draw per examined edge, would gain from 64 (275
+#: against 313 us a set), but no served path runs it.
+UNIFORM_BLOCK = 32
+
+
+def _block(rng: np.random.Generator, captured: list) -> List[float]:
+    """One block of uniforms; the first of a stream captures the state."""
+    if not captured:
+        captured.append(rng.bit_generator.state)
+    return rng.random(UNIFORM_BLOCK).tolist()
+
+
+class UniformStream:
+    """Draw-exact buffered uniforms for the per-set generation loops.
+
+    :attr:`next` returns the values successive scalar ``rng.random()``
+    calls would, in the same order, but takes them from blocks of
+    :data:`UNIFORM_BLOCK` drawn by one ``rng.random(UNIFORM_BLOCK)`` call
+    (a scalar call costs about ten times a buffered one).  The first block
+    captures ``rng.bit_generator.state``; :meth:`sync` restores it and
+    redraws exactly the consumed count, which leaves the generator where
+    the scalar calls would have, for any BitGenerator.  The stream does not
+    count: the caller passes what it consumed.  Sync before anything else
+    draws from ``rng`` -- when a set ends, before a sampler that draws from
+    ``rng`` itself, and before an interrupt propagates -- then re-read
+    :attr:`next`, since a sync discards the rest of the block.
+
+    The block iterator holds the captured state in a list it shares with
+    the stream, not the stream itself: a stream is made per set, and a
+    reference cycle per set would leave its blocks to the cyclic collector.
+    """
+
+    __slots__ = ("next", "_rng", "_captured")
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+        self._restart()
+
+    def _restart(self) -> None:
+        self._captured: list = []
+        blocks = iter(partial(_block, self._rng, self._captured), None)
+        self.next = chain.from_iterable(blocks).__next__
+
+    def sync(self, used: int) -> None:
+        """Leave ``rng`` exactly ``used`` uniforms past the last sync."""
+        if not self._captured:
+            return  # nothing buffered, so nothing drawn past ``used``
+        rng = self._rng
+        rng.bit_generator.state = self._captured[0]
+        if used:
+            rng.random(used)
+        self._restart()
 
 
 @dataclass
@@ -89,6 +150,9 @@ class RRGenerator:
         self.batch_size = 1
         self._reported_edges = 0
         self._visited = np.zeros(graph.n, dtype=bool)
+        # The same mask as a memoryview: indexing it returns Python bools
+        # and costs less than NumPy scalar indexing in the per-set loops.
+        self._seen = memoryview(self._visited)
 
     def generate(
         self,
@@ -154,13 +218,33 @@ class RRGenerator:
 
     def _abandon(self, rr: List[int]) -> None:
         """Clear the scratch mask after an interrupted generation."""
-        visited = self._visited
+        visited = self._seen
         for node in rr:
             visited[node] = False
 
+    def _close(
+        self,
+        rr: List[int],
+        stream: UniformStream,
+        edges: int,
+        draws: int,
+        used: int,
+        hit_sentinel: bool = False,
+    ) -> List[int]:
+        """End a set of a buffered loop: flush its local edge and draw
+        counts, rewind ``stream`` to the ``used`` uniforms it consumed, and
+        :meth:`_finish`.  ``draws`` is what the counters record, which the
+        vanilla loop counts per examined edge even when a sentinel stops
+        it mid-block."""
+        counters = self.counters
+        counters.edges_examined += edges
+        counters.rng_draws += draws
+        stream.sync(used)
+        return self._finish(rr, hit_sentinel)
+
     def _finish(self, rr: List[int], hit_sentinel: bool = False) -> List[int]:
         """Clear the scratch mask and update counters; returns ``rr``."""
-        visited = self._visited
+        visited = self._seen
         for node in rr:
             visited[node] = False
         self.counters.nodes_added += len(rr)

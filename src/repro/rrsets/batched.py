@@ -21,7 +21,7 @@ level:
   (Section 3.3, precompiled once per graph by
   :func:`repro.sampling.precompute.sorted_segments`) take geometric skips at
   the bucket ceiling with vectorized thin-by-``p/q`` acceptance, the exact
-  process of the sequential ``_scan_sorted_block``;
+  process of the sequential sorted sampler's bucket loop;
 * **LT kernel** (``"lt"``, :class:`~repro.rrsets.lt.LTGenerator`):
   level-synchronous backward live-edge walks — every live walk picks its
   single live in-edge (or the "no live edge" outcome) with one flat Walker
@@ -67,7 +67,7 @@ from repro.sampling.precompute import (
     sorted_segments,
     uniform_arrays,
 )
-from repro.utils.exceptions import GraphFormatError
+from repro.utils.exceptions import ConfigurationError, GraphFormatError
 
 _TINY = 2.2250738585072014e-308  # smallest positive normal double
 #: the geometric kernel hands its last live entries to the scalar tail once
@@ -242,8 +242,8 @@ def _sorted_segment_candidates(
     each slot and accept with the slot's own probability; partial-ceiling
     segments take geometric skips at rate ``q`` and thin each landing with
     an acceptance coin where ``p < q`` — the batched twin of the sequential
-    ``_scan_sorted_block``, consuming the same draws per landing in a
-    level-ordered schedule.
+    sorted sampler in ``SubsimICGenerator.generate``, consuming the same
+    draws per landing in a level-ordered schedule.
     """
     cand_sets: List[np.ndarray] = []
     cand_nodes: List[np.ndarray] = []
@@ -333,6 +333,14 @@ def _resolve_mode(gen) -> str:
         raise ValueError(
             f"generator {gen.name!r} requested unknown batched mode "
             f"{mode!r}; supported batched modes are {known}"
+        )
+    general_mode = getattr(gen, "general_mode", "sorted")
+    if mode == "subsim" and general_mode != "sorted":
+        raise ConfigurationError(
+            f"general_mode={general_mode!r} has no batched kernel: the "
+            "batched SUBSIM engine samples skewed nodes with the sorted "
+            "positional buckets only; use batch_size=1 or "
+            "general_mode='sorted'"
         )
     if mode in ("ic", "subsim") and gen.graph.weight_model.startswith("lt:"):
         raise GraphFormatError(

@@ -15,15 +15,27 @@ Per-node dispatch:
   general-IC samplers from Section 3.3, selected by ``general_mode``:
 
   - ``"sorted"`` (default): index-free positional bucketing over the
-    descending-sorted in-adjacency block; no preprocessing.
+    descending-sorted in-adjacency block.  Each skewed node's bucket
+    bounds, ``log1p(-q)`` and skip threshold are built on its first visit
+    and cached on the graph (:func:`~repro.sampling.precompute
+    .bucket_table_dict`); a bucket whose draw falls below its threshold is
+    skipped without a ``log``.
   - ``"bucket"``: Bringmann–Panagiotou probability-scale buckets,
     preprocessed lazily per node.
   - ``"indexed"``: bucket sampler plus the bucket-jump alias table, the
     paper's ``O(1 + mu)`` construction.
 
-The equal-probability and sorted paths are inlined in the hot loop so that
-vanilla and SUBSIM pay comparable interpreted per-operation constants and
-wall-clock ratios track the paper's cost model.
+  Only ``"sorted"`` has a batched kernel; the batched engine refuses the
+  other two.
+
+The equal-probability and sorted paths are inlined in the hot loop, which
+reads the graph through memoryviews, counts edges and draws in locals and
+takes its uniforms from a :class:`~repro.rrsets.base.UniformStream`: the
+values, counters and final RNG state are exactly those of one scalar
+``rng.random()`` per draw, at a tenth of the per-draw cost.  The vanilla
+loop (:mod:`repro.rrsets.vanilla`) draws the same way, so both pay
+comparable interpreted per-operation constants and wall-clock ratios track
+the paper's cost model.
 """
 
 from __future__ import annotations
@@ -35,9 +47,14 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.graphs.csr import CSRGraph
-from repro.rrsets.base import RRGenerator
+from repro.rrsets.base import RRGenerator, UniformStream
 from repro.sampling.bucket import BucketSampler, IndexedBucketSampler
-from repro.sampling.precompute import node_sampler_dict, uniform_arrays
+from repro.sampling.precompute import (
+    bucket_table_dict,
+    build_bucket_table,
+    node_sampler_dict,
+    uniform_arrays,
+)
 from repro.utils.exceptions import ExecutionInterrupted
 
 _TINY = 2.2250738585072014e-308  # smallest positive normal double
@@ -58,18 +75,37 @@ class SubsimICGenerator(RRGenerator):
                 f"general_mode must be one of {_GENERAL_MODES}, got {general_mode!r}"
             )
         self.general_mode = general_mode
-        # Per-node uniform-rate arrays, cached on the graph: every generator
-        # instance over this graph (bank roles, shard workers, repeated
-        # queries) shares one build.  The arrays are never mutated here.
+        self._resolve()
+
+    def _resolve(self) -> None:
+        """Fetch the graph's caches and views once per delta epoch.
+
+        The per-node uniform-rate arrays, the bucket tables and the
+        ``"bucket"``/``"indexed"`` samplers are cached on the graph, so
+        every generator instance over it (bank roles, shard workers,
+        repeated queries) shares one build; none is mutated here.  Looking
+        them up hashes the fingerprint, so it happens here and again only
+        after :meth:`CSRGraph.apply_delta` replaced the arrays.  The loop
+        reads the arrays through memoryviews, whose indexing returns
+        Python scalars and costs less than NumPy's.
+        """
+        graph = self.graph
         arrays = uniform_arrays(graph)
         self._is_uniform = arrays.is_uniform
         self._uniform_p = arrays.p
         self._log_one_minus_p = arrays.log1mp
-        # Lazily built per-node samplers for the "bucket"/"indexed" modes,
-        # shared across instances through the graph cache as well.
         self._node_samplers: Dict[int, BucketSampler] = node_sampler_dict(
-            graph, general_mode
+            graph, self.general_mode
         )
+        self._tables = bucket_table_dict(graph)
+        self._views = tuple(
+            memoryview(np.ascontiguousarray(a))
+            for a in (
+                graph.in_indptr, graph.in_indices, graph.in_probs,
+                arrays.is_uniform, arrays.p, arrays.log1mp,
+            )
+        )
+        self._epoch = graph.delta_epoch
 
     # ------------------------------------------------------------------
     def generate(
@@ -78,45 +114,49 @@ class SubsimICGenerator(RRGenerator):
         root: Optional[int] = None,
         stop_mask: Optional[np.ndarray] = None,
     ) -> List[int]:
-        graph = self.graph
-        indptr = graph.in_indptr
-        indices = graph.in_indices
-        probs = graph.in_probs
-        visited = self._visited
-        counters = self.counters
-        random = rng.random
-        is_uniform = self._is_uniform
-        uniform_p = self._uniform_p
-        log1mp = self._log_one_minus_p
-        sorted_mode = self.general_mode == "sorted"
+        if self._epoch != self.graph.delta_epoch:
+            self._resolve()
+        indptr, indices, probs, is_uniform, uniform_p, log1mp = self._views
+        visited = self._seen
+        stop = (
+            None if stop_mask is None
+            else memoryview(np.ascontiguousarray(stop_mask, dtype=bool))
+        )
 
         self._begin()
         v = self._pick_root(rng, root)
         rr = [v]
         visited[v] = True
-        if stop_mask is not None and stop_mask[v]:
+        if stop is not None and stop[v]:
             return self._finish(rr, hit_sentinel=True)
 
+        counters = self.counters
+        control = self.control
+        tables = self._tables
+        sorted_mode = self.general_mode == "sorted"
+        stream = UniformStream(rng)
+        draw = stream.next
+        log = math.log
+        add = rr.append
         queue = deque(rr)
-        try:
-            return self._traverse(
-                rr, queue, indptr, indices, probs, visited, counters,
-                random, is_uniform, uniform_p, log1mp, sorted_mode,
-                stop_mask, rng,
-            )
-        except ExecutionInterrupted:
-            self._abandon(rr)
-            raise
-
-    def _traverse(
-        self, rr, queue, indptr, indices, probs, visited, counters,
-        random, is_uniform, uniform_p, log1mp, sorted_mode, stop_mask, rng,
-    ) -> List[int]:
+        push = queue.append
+        pop = queue.popleft
+        edges = 0  # flushed to the counters before every tick and at the end
+        draws = 0  # uniforms taken from ``stream`` since its last sync
         while queue:
-            u = queue.popleft()
-            self._tick()
-            lo = int(indptr[u])
-            hi = int(indptr[u + 1])
+            u = pop()
+            if control is not None:
+                counters.edges_examined += edges
+                edges = 0
+                try:
+                    self._tick()
+                except ExecutionInterrupted:
+                    counters.rng_draws += draws
+                    stream.sync(draws)
+                    self._abandon(rr)
+                    raise
+            lo = indptr[u]
+            hi = indptr[u + 1]
             if lo == hi:
                 continue
             if is_uniform[u]:
@@ -125,129 +165,123 @@ class SubsimICGenerator(RRGenerator):
                     continue
                 if p >= 1.0:
                     # Every in-neighbor activates deterministically.
-                    counters.edges_examined += hi - lo
+                    edges += hi - lo
                     for j in range(lo, hi):
                         w = indices[j]
                         if not visited[w]:
                             visited[w] = True
-                            rr.append(w)
-                            if stop_mask is not None and stop_mask[w]:
-                                return self._finish(rr, hit_sentinel=True)
-                            queue.append(w)
+                            add(w)
+                            if stop is not None and stop[w]:
+                                return self._close(
+                                    rr, stream, edges, draws, draws, True
+                                )
+                            push(w)
                     continue
                 # Algorithm 3: geometric skipping at rate p.
                 lg = log1mp[u]
-                counters.rng_draws += 1
-                uval = random()
+                draws += 1
+                uval = draw()
                 if uval <= 0.0:
                     uval = _TINY
-                jump = math.log(uval) / lg
+                jump = log(uval) / lg
                 if jump >= hi - lo:
                     continue
                 pos = lo + int(jump)
                 while pos < hi:
-                    counters.edges_examined += 1
+                    edges += 1
                     w = indices[pos]
                     if not visited[w]:
                         visited[w] = True
-                        rr.append(w)
-                        if stop_mask is not None and stop_mask[w]:
-                            return self._finish(rr, hit_sentinel=True)
-                        queue.append(w)
-                    counters.rng_draws += 1
-                    uval = random()
+                        add(w)
+                        if stop is not None and stop[w]:
+                            return self._close(
+                                rr, stream, edges, draws, draws, True
+                            )
+                        push(w)
+                    draws += 1
+                    uval = draw()
                     if uval <= 0.0:
                         uval = _TINY
-                    jump = math.log(uval) / lg
+                    jump = log(uval) / lg
                     if jump >= hi - pos:
                         break
                     pos += int(jump) + 1
                 continue
 
             # General (skewed) in-probabilities.
-            if sorted_mode:
-                hit = self._scan_sorted_block(
-                    lo, hi, indices, probs, visited, rr, queue,
-                    stop_mask, rng, counters,
-                )
-            else:
-                hit = self._scan_with_sampler(
-                    u, lo, indices, visited, rr, queue, stop_mask, rng, counters
-                )
-            if hit:
-                return self._finish(rr, hit_sentinel=True)
-        return self._finish(rr)
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _scan_sorted_block(
-        lo, hi, indices, probs, visited, rr, queue, stop_mask, rng, counters
-    ) -> bool:
-        """Index-free sampler over one descending-sorted in-adjacency block.
-
-        Returns True when a sentinel node was activated (caller must stop).
-        """
-        random = rng.random
-        lo = int(lo)
-        hi = int(hi)
-        start = lo
-        while start < hi:
-            end = min(lo + 2 * (start - lo) + 1, hi)
-            q = probs[start]
-            if not q > 0.0:  # catches 0, negatives, and NaN
-                break
-            if q >= 1.0:
-                # Ceiling is certain: examine each slot, accept w.p. p.
-                for j in range(start, end):
-                    counters.edges_examined += 1
-                    pj = probs[j]
-                    if pj < 1.0:
-                        counters.rng_draws += 1
-                        if random() >= pj:
-                            continue
-                    w = indices[j]
-                    if not visited[w]:
-                        visited[w] = True
-                        rr.append(w)
-                        if stop_mask is not None and stop_mask[w]:
-                            return True
-                        queue.append(w)
-            else:
-                lg = math.log1p(-q)
-                counters.rng_draws += 1
-                uval = random()
+            if not sorted_mode:
+                # The bucket samplers draw from ``rng`` themselves.
+                counters.rng_draws += draws
+                stream.sync(draws)
+                draws = 0
+                draw = stream.next
+                if self._scan_with_sampler(
+                    u, lo, indices, visited, rr, queue, stop, rng, counters
+                ):
+                    return self._close(rr, stream, edges, 0, 0, True)
+                continue
+            # Index-free positional buckets over the descending-sorted
+            # block: geometric skips at each bucket's ceiling q, thinned
+            # by an acceptance coin where p < q.
+            table = tables.get(u)
+            if table is None:
+                table = tables[u] = build_bucket_table(probs, lo, hi)
+            for start, end, q, lg, skip in table:
+                if q >= 1.0:
+                    # Ceiling is certain: examine each slot, accept w.p. p.
+                    for j in range(start, end):
+                        edges += 1
+                        pj = probs[j]
+                        if pj < 1.0:
+                            draws += 1
+                            if draw() >= pj:
+                                continue
+                        w = indices[j]
+                        if not visited[w]:
+                            visited[w] = True
+                            add(w)
+                            if stop is not None and stop[w]:
+                                return self._close(
+                                    rr, stream, edges, draws, draws, True
+                                )
+                            push(w)
+                    continue
+                draws += 1
+                uval = draw()
                 if uval <= 0.0:
                     uval = _TINY
-                jump = math.log(uval) / lg
+                if uval < skip:
+                    continue  # the first jump lands past the bucket
+                jump = log(uval) / lg
                 if jump >= end - start:
-                    start = end
                     continue
                 pos = start + int(jump)
                 while pos < end:
-                    counters.edges_examined += 1
+                    edges += 1
                     pj = probs[pos]
                     accept = True
                     if pj < q:
-                        counters.rng_draws += 1
-                        accept = random() < pj / q
+                        draws += 1
+                        accept = draw() < pj / q
                     if accept:
                         w = indices[pos]
                         if not visited[w]:
                             visited[w] = True
-                            rr.append(w)
-                            if stop_mask is not None and stop_mask[w]:
-                                return True
-                            queue.append(w)
-                    counters.rng_draws += 1
-                    uval = random()
+                            add(w)
+                            if stop is not None and stop[w]:
+                                return self._close(
+                                    rr, stream, edges, draws, draws, True
+                                )
+                            push(w)
+                    draws += 1
+                    uval = draw()
                     if uval <= 0.0:
                         uval = _TINY
-                    jump = math.log(uval) / lg
+                    jump = log(uval) / lg
                     if jump >= end - pos:
                         break
                     pos += int(jump) + 1
-            start = end
-        return False
+        return self._close(rr, stream, edges, draws, draws)
 
     # ------------------------------------------------------------------
     def _scan_with_sampler(

@@ -8,8 +8,11 @@ share, and the baseline SUBSIM improves on — its cost per activated node is
 
 The hot loop deliberately draws one random number per examined edge, exactly
 as Algorithm 2 specifies, so wall-clock comparisons against SUBSIM reflect
-the paper's cost model (both implementations pay the same interpreted
-per-examined-edge constant).
+the paper's cost model.  Both loops take their uniforms from the same
+draw-exact :class:`~repro.rrsets.base.UniformStream` and read the graph
+through memoryviews, so they pay the same interpreted per-draw and
+per-examined-edge constants; the values, counters and final RNG state are
+those of one scalar ``rng.random()`` per examined edge.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.rrsets.base import RRGenerator
+from repro.graphs.csr import CSRGraph
+from repro.rrsets.base import RRGenerator, UniformStream
 from repro.utils.exceptions import ExecutionInterrupted
 
 
@@ -29,46 +33,82 @@ class VanillaICGenerator(RRGenerator):
     name = "vanilla"
     batched_mode = "ic"
 
+    def __init__(self, graph: CSRGraph) -> None:
+        super().__init__(graph)
+        self._resolve()
+
+    def _resolve(self) -> None:
+        """Memoryviews of the reverse CSR, refreshed after a delta."""
+        graph = self.graph
+        self._views = tuple(
+            memoryview(np.ascontiguousarray(a))
+            for a in (graph.in_indptr, graph.in_indices, graph.in_probs)
+        )
+        self._epoch = graph.delta_epoch
+
     def generate(
         self,
         rng: np.random.Generator,
         root: Optional[int] = None,
         stop_mask: Optional[np.ndarray] = None,
     ) -> List[int]:
-        graph = self.graph
-        indptr = graph.in_indptr
-        indices = graph.in_indices
-        probs = graph.in_probs
-        visited = self._visited
-        counters = self.counters
-        random = rng.random
+        if self._epoch != self.graph.delta_epoch:
+            self._resolve()
+        indptr, indices, probs = self._views
+        visited = self._seen
+        stop = (
+            None if stop_mask is None
+            else memoryview(np.ascontiguousarray(stop_mask, dtype=bool))
+        )
 
         self._begin()
         v = self._pick_root(rng, root)
         rr = [v]
         visited[v] = True
-        if stop_mask is not None and stop_mask[v]:
+        if stop is not None and stop[v]:
             return self._finish(rr, hit_sentinel=True)
 
+        counters = self.counters
+        control = self.control
+        stream = UniformStream(rng)
+        draw = stream.next
+        add = rr.append
         queue = deque(rr)
-        try:
-            while queue:
-                u = queue.popleft()
-                lo = indptr[u]
-                hi = indptr[u + 1]
-                counters.edges_examined += hi - lo
-                counters.rng_draws += hi - lo
-                self._tick()
-                for j in range(lo, hi):
-                    if random() < probs[j]:
-                        w = indices[j]
-                        if not visited[w]:
-                            visited[w] = True
-                            rr.append(w)
-                            if stop_mask is not None and stop_mask[w]:
-                                return self._finish(rr, hit_sentinel=True)
-                            queue.append(w)
-        except ExecutionInterrupted:
-            self._abandon(rr)
-            raise
-        return self._finish(rr)
+        push = queue.append
+        pop = queue.popleft
+        # One draw per examined edge, so ``total`` counts both.  A sentinel
+        # stop mid-block still counts the whole block, as Algorithm 2's
+        # accounting always has, while the stream rewinds to the draws
+        # actually taken.
+        total = 0
+        flushed = 0  # the part of ``total`` already in the counters
+        while queue:
+            u = pop()
+            lo = indptr[u]
+            hi = indptr[u + 1]
+            total += hi - lo
+            if control is not None:
+                counters.edges_examined += total - flushed
+                counters.rng_draws += total - flushed
+                flushed = total
+                try:
+                    self._tick()
+                except ExecutionInterrupted:
+                    stream.sync(total - (hi - lo))
+                    self._abandon(rr)
+                    raise
+            for j in range(lo, hi):
+                if draw() < probs[j]:
+                    w = indices[j]
+                    if not visited[w]:
+                        visited[w] = True
+                        add(w)
+                        if stop is not None and stop[w]:
+                            return self._close(
+                                rr, stream, total - flushed, total - flushed,
+                                total - (hi - j - 1), True,
+                            )
+                        push(w)
+        return self._close(
+            rr, stream, total - flushed, total - flushed, total
+        )

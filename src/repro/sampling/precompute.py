@@ -18,7 +18,7 @@ them across generators cannot change any sampled value or counter.
 from __future__ import annotations
 
 import math
-from typing import Dict, NamedTuple, Tuple
+from typing import Dict, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -30,6 +30,16 @@ UNIFORM_KEY = "sampling.uniform_arrays"
 SEGMENTS_KEY = "sampling.sorted_segments"
 LT_ALIAS_KEY = "sampling.lt_alias"
 SAMPLER_DICT_KEY = "sampling.node_samplers"
+BUCKET_TABLES_KEY = "sampling.bucket_tables"
+
+#: relative margin under which a bucket's skip threshold sits below the
+#: exact ``exp(L * log1p(-q))``; it absorbs the rounding of ``exp``,
+#: ``log`` and the division, so a uniform below the threshold passes the
+#: exact ``log(u) / lg >= L`` test (see :func:`build_bucket_table`)
+SKIP_MARGIN = 1e-9
+
+#: one positional bucket of a sorted in-block: ``(start, end, q, lg, skip)``
+Bucket = Tuple[int, int, float, float, float]
 
 
 class UniformArrays(NamedTuple):
@@ -127,6 +137,42 @@ def build_sorted_segments(graph: CSRGraph) -> SortedSegments:
     )
 
 
+def build_bucket_table(
+    probs: Sequence[float], lo: int, hi: int
+) -> Tuple[Bucket, ...]:
+    """Positional buckets of one descending-sorted in-block (Section 3.3).
+
+    Bucket ``j`` spans positions ``[lo + 2**j - 1, lo + 2**(j+1) - 1)``,
+    clipped to ``hi``, with ceiling ``q`` (its first probability).  Each
+    entry is ``(start, end, q, lg, skip)``: ``lg = log1p(-q)`` and ``skip =
+    exp((end - start) * lg) * (1 - SKIP_MARGIN)`` for ceilings below 1,
+    and ``lg = skip = 0`` for certain ceilings (``q >= 1``).  A clamped
+    uniform below ``skip`` lands past the bucket, so the sequential sampler
+    skips it without a ``log``; any other uniform takes the exact test.
+    Where the exact bound is below the smallest normal double, ``skip`` is
+    below every clamped uniform, so the shortcut never fires.  The table
+    stops at the
+    first ceiling that is not positive (0, negative or NaN), as the
+    sampler's scan does; unlike :class:`SortedSegments` it keeps
+    degenerate rates, which the sequential scan still visits.
+    """
+    table = []
+    start = lo
+    while start < hi:
+        end = min(lo + 2 * (start - lo) + 1, hi)
+        q = float(probs[start])
+        if not q > 0.0:  # catches 0, negatives, and NaN
+            break
+        if q >= 1.0:
+            table.append((start, end, q, 0.0, 0.0))
+        else:
+            lg = math.log1p(-q)
+            skip = math.exp((end - start) * lg) * (1.0 - SKIP_MARGIN)
+            table.append((start, end, q, lg, skip))
+        start = end
+    return tuple(table)
+
+
 class LTAliasTables(NamedTuple):
     """Flat per-node Walker tables for the batched LT live-edge pick.
 
@@ -196,10 +242,25 @@ def node_sampler_dict(graph: CSRGraph, general_mode: str) -> Dict[int, object]:
     return table.setdefault(general_mode, {})
 
 
+def bucket_table_dict(graph: CSRGraph) -> Dict[int, Tuple[Bucket, ...]]:
+    """The graph's lazily filled ``node -> bucket table`` dict.
+
+    The sequential sorted sampler fills it one skewed node at a time with
+    :func:`build_bucket_table`, so its size is bounded by the skewed nodes
+    actually visited, and every generator over the graph shares it.  Like
+    every :meth:`CSRGraph.cached` entry it is fingerprint-guarded: a delta
+    starts an empty dict.
+    """
+    return graph.cached(BUCKET_TABLES_KEY, lambda _g: {})
+
+
 __all__: Tuple[str, ...] = (
+    "Bucket",
     "LTAliasTables",
     "SortedSegments",
     "UniformArrays",
+    "bucket_table_dict",
+    "build_bucket_table",
     "build_lt_alias_tables",
     "build_sorted_segments",
     "build_uniform_arrays",

@@ -377,6 +377,29 @@ class TestDynamicDeltas:
         gc.collect()
         assert all(ref() is None for ref in retired)
 
+    def test_delta_frees_retired_generators_before_next_query(self):
+        # A tenant that is not queried after a delta must not keep its
+        # retired generators (and the pre-delta graph arrays they read)
+        # alive as counters sources until its next query.
+        import gc
+        import weakref
+
+        from repro.graphs.dynamic import GraphDelta
+
+        session = QuerySession(self._graph(), "subsim", seed=11)
+        session.maximize(8, eps=0.4)
+        banks = session.provider.persistent_banks()
+        retired = [weakref.ref(bank.generator) for bank in banks.values()]
+        old_probs = weakref.ref(session.graph.in_probs)
+        src, dst, _ = session.graph.edges()
+        session.apply_delta(GraphDelta(deletes=[(int(src[0]), int(dst[0]))]))
+        gc.collect()
+        assert all(ref() is None for ref in retired)
+        assert old_probs() is None
+        assert {id(s) for s in session.metrics._sources} == {
+            id(bank.generator) for bank in banks.values()
+        }
+
     def test_delta_is_deterministic_across_identical_sessions(self):
         from repro.graphs.dynamic import GraphDelta
 

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.graphs.weights import lt_normalized_weights, wc_weights
+from repro.rrsets import batched
 from repro.rrsets.collection import RRCollection
 from repro.rrsets.lt import LTGenerator
 from repro.rrsets.subsim import SubsimICGenerator
@@ -27,7 +28,11 @@ from repro.sampling.precompute import (
     sorted_segments,
     uniform_arrays,
 )
-from repro.utils.exceptions import ExecutionInterrupted, GraphFormatError
+from repro.utils.exceptions import (
+    ConfigurationError,
+    ExecutionInterrupted,
+    GraphFormatError,
+)
 
 scipy_stats = pytest.importorskip("scipy.stats")
 
@@ -200,6 +205,25 @@ class TestModeValidation:
         gen.batched_mode = "bogus"
         with pytest.raises(ValueError, match="'ic', 'subsim', 'lt'"):
             gen.generate_batch(np.random.default_rng(1), 4)
+
+    @pytest.mark.parametrize("mode", ["bucket", "indexed"])
+    def test_sampler_modes_refused_by_batched_kernel(self, skewed_graph, mode):
+        # The batched kernel samples skewed nodes with the sorted buckets
+        # only; a bucket/indexed generator must not silently use them.
+        gen = SubsimICGenerator(skewed_graph, general_mode=mode)
+        with pytest.raises(ConfigurationError, match=mode):
+            gen.generate_batch(np.random.default_rng(1), 4)
+        with pytest.raises(ConfigurationError, match=mode):
+            batched.generate_batch(gen, np.random.default_rng(1), 4)
+        gen.batch_size = 8
+        pool = RRCollection(skewed_graph.n)
+        with pytest.raises(ConfigurationError, match=mode):
+            pool.extend(16, gen, np.random.default_rng(1))
+        assert pool.num_rr == 0
+        # The sequential loop of the same generator still runs.
+        gen.batch_size = 1
+        pool.extend(16, gen, np.random.default_rng(1))
+        assert pool.num_rr == 16
 
     def test_ic_kernels_rejected_on_lt_graph(self, lt_graph):
         for cls in (VanillaICGenerator, SubsimICGenerator):
